@@ -155,3 +155,16 @@ def partial_sum(a: AsymptoticClass) -> SumClass:
             AsymptoticClass(a.constant / (-q - 1.0), 1.0, 0.0, q + 1.0),
         )
     return SumClass(Verdict.UNDECIDED_BOUNDARY, None)
+
+
+def partial_sum_growth(a: AsymptoticClass) -> AsymptoticClass | None:
+    """Growth class of the partial sums sum_{k<=n} a_k.
+
+    The partial-sum class when the series diverges, ``CONSTANT_ONE`` when it
+    converges (the sums settle at a finite nonzero limit), None on the
+    undecided boundary.
+    """
+    sum_cls = partial_sum(a)
+    if sum_cls.verdict is Verdict.UNDECIDED_BOUNDARY:
+        return None
+    return sum_cls.growth if sum_cls.verdict is Verdict.DIVERGENT else CONSTANT_ONE

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -100,6 +101,14 @@ def _effective_seed(cfg: dict) -> int:
     return seed
 
 
+def _number(convert, value, name: str):
+    """convert(value) for a config entry; a value it cannot take is a config error."""
+    try:
+        return convert(value)
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name}: {value!r}") from exc
+
+
 def _sequence(cfg: dict, key: str, default=None) -> sequences.SequenceSpec:
     if key not in cfg:
         if default is not None:
@@ -113,9 +122,9 @@ def _sequence(cfg: dict, key: str, default=None) -> sequences.SequenceSpec:
 
 def _chi(cfg: dict, a: sequences.SequenceSpec) -> float:
     if "chi" in cfg:
-        chi = float(cfg["chi"])
-        if chi <= 0:
-            raise ConfigError("chi must be positive")
+        chi = _number(float, cfg["chi"], "chi")
+        if not (math.isfinite(chi) and chi > 0):
+            raise ConfigError("chi must be positive and finite")
         return chi
     try:
         return sequences.estimate_chi(a).chi
@@ -127,7 +136,7 @@ def _lambda(value) -> complex:
     if isinstance(value, (int, float)):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return _number(lambda v: complex(float(v[0]), float(v[1])), value, "lambda")
     raise ConfigError(f"lambda must be a number or [re, im], got {value!r}")
 
 
@@ -167,12 +176,9 @@ def _grid_from_cfg(block: dict) -> spectrum.GridSpec:
         re_range = tuple(float(v) for v in block["re_range"])
         im_range = tuple(float(v) for v in block["im_range"])
         res = block["resolution"]
-    except (KeyError, TypeError, ValueError) as exc:
+        res = (res, res) if isinstance(res, int) else (int(res[0]), int(res[1]))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid block: {exc}") from exc
-    if isinstance(res, int):
-        res = (res, res)
-    else:
-        res = (int(res[0]), int(res[1]))
     try:
         return spectrum.GridSpec(re_range, im_range, res)
     except TerraspecError as exc:
@@ -278,8 +284,8 @@ def cmd_resolvent_verify(cfg: dict, digest: str, out: str, jobs: int) -> int:
     if "lambda" not in block or "n" not in block:
         raise ConfigError("resolvent-verify needs resolvent_verify.lambda and .n")
     lam = _lambda(block["lambda"])
-    n = int(block["n"])
-    tol = float(block.get("tol", 1e-10))
+    n = _number(int, block["n"], "resolvent_verify.n")
+    tol = _number(float, block.get("tol", 1e-10), "resolvent_verify.tol")
     check = spectrum.verify_resolvent(lam, a, n, tol)
     payload = _meta(digest, _effective_seed(cfg))
     payload["result"] = {
@@ -302,11 +308,12 @@ def cmd_product_band(cfg: dict, digest: str, out: str, jobs: int, csv_out: str |
     if "lambda" not in block:
         raise ConfigError("product-band needs product_band.lambda")
     lam = _lambda(block["lambda"])
-    n_range = tuple(block.get("n_range", (128, 32768)))
+    n_range = block.get("n_range", (128, 32768))
+    n_range = _number(lambda r: (int(r[0]), int(r[1])), n_range, "product_band.n_range")
     exponent = block.get("exponent")
     report = products.ratio_band(
-        a, lam, chi, (int(n_range[0]), int(n_range[1])),
-        exponent=None if exponent is None else float(exponent),
+        a, lam, chi, n_range,
+        exponent=None if exponent is None else _number(float, exponent, "product_band.exponent"),
     )
     payload = _meta(digest, _effective_seed(cfg))
     payload["result"] = {
@@ -335,9 +342,10 @@ def cmd_ideal_qnorm(cfg: dict, digest: str, out: str, jobs: int) -> int:
     r = _sequence(cfg, "r", sequences.constant(1.0))
     block = cfg.get("ideal_qnorm", {})
     if "snumbers" in block:
-        snum = ideals.SNumberSequence(tuple(float(v) for v in block["snumbers"]), "user")
+        values = _number(lambda vs: tuple(float(v) for v in vs), block["snumbers"], "ideal_qnorm.snumbers")
+        snum = ideals.SNumberSequence(values, "user")
     elif "section_n" in block:
-        sec = terraced.build_section(a, int(block["section_n"]))
+        sec = terraced.build_section(a, _number(int, block["section_n"], "ideal_qnorm.section_n"))
         s_w = _sequence(cfg, "s", sequences.constant(1.0))
         snum = ideals.snumbers_from_section(sec, r, s_w)
     else:
@@ -364,8 +372,8 @@ def cmd_ideal_axioms(cfg: dict, digest: str, out: str, jobs: int) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
     block = cfg.get("ideal_axioms", {})
-    trials = int(block.get("trials", 200))
-    dim = int(block.get("dim", 8))
+    trials = _number(int, block.get("trials", 200), "ideal_axioms.trials")
+    dim = _number(int, block.get("dim", 8), "ideal_axioms.dim")
     seed = _effective_seed(cfg)
     report = ideals.check_quasinorm_axioms(trials, dim, a, r, seed=seed)
     payload = _meta(digest, seed)

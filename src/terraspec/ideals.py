@@ -24,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import AsymptoticClass, Limit, Verdict, limit_class, mul, partial_sum
+from .asymptotics import INDEX, AsymptoticClass, Limit, limit_class, mul, partial_sum_growth
 from .errors import TerraspecError
-from .numerics import TriState, classify_limit_trend, dyadic_probes, exact_prefix_sums
+from .numerics import TriState, classify_limit_trend, dyadic_probes, exact_prefix_sums, vanishes
 from .sequences import SequenceSpec
+from .spectrum import DENSE_CAP
 from .terraced import FiniteSection, conjugate_section
-
-DENSE_CAP = 512
 
 #: absolute slack for the finite-trial inequality checks
 AXIOM_TOL = 1e-9
@@ -72,6 +71,14 @@ def _weighted_averages(snum: SNumberSequence, a: SequenceSpec, r: SequenceSpec) 
     return scaled * r.values(n)
 
 
+def _class_limit(v_asym: AsymptoticClass | None, a: SequenceSpec, r: SequenceSpec) -> Limit | None:
+    """lim a_i * (v_1 + ... + v_i) * r_i by class algebra; None when the classes do not decide it."""
+    if v_asym is None or a.asym is None or r.asym is None:
+        return None
+    growth = partial_sum_growth(v_asym)
+    return None if growth is None else limit_class(mul(mul(a.asym, growth), r.asym))
+
+
 def stype_membership(snum: SNumberSequence, a: SequenceSpec, r: SequenceSpec) -> TriState:
     """Does a_i * (s_1 + ... + s_i) * r_i tend to 0.
 
@@ -79,27 +86,18 @@ def stype_membership(snum: SNumberSequence, a: SequenceSpec, r: SequenceSpec) ->
     class algebra); a finite-rank sequence reduces to lim a_i r_i = 0;
     otherwise a dyadic drift probe over the available prefix.
     """
-    if snum.asym is not None and a.asym is not None and r.asym is not None:
-        sum_cls = partial_sum(snum.asym)
-        if sum_cls.verdict is not Verdict.UNDECIDED_BOUNDARY:
-            growth = sum_cls.growth if sum_cls.verdict is Verdict.DIVERGENT else AsymptoticClass(1.0, 1.0)
-            lim = limit_class(mul(mul(a.asym, growth), r.asym))
-            return TriState.YES if lim is Limit.ZERO else TriState.NO
+    lim = _class_limit(snum.asym, a, r)
+    if lim is not None:
+        return vanishes(lim)
     v = snum.values
     if a.asym is not None and r.asym is not None and v and (len(v) == 1 or v[-1] <= 1e-14 * max(v[0], 1e-300)):
         # effectively finite rank: prefix sums are eventually constant
-        lim = limit_class(mul(a.asym, r.asym))
-        return TriState.YES if lim is Limit.ZERO else TriState.NO
+        return vanishes(limit_class(mul(a.asym, r.asym)))
     if not v:
         return TriState.YES
     t = _weighted_averages(snum, a, r)
     probes = np.array(dyadic_probes(1, len(t))) - 1
-    trend = classify_limit_trend(t[probes])
-    if trend is Limit.ZERO:
-        return TriState.YES
-    if trend in (Limit.FINITE_NONZERO, Limit.INFINITE):
-        return TriState.NO
-    return TriState.INCONCLUSIVE
+    return vanishes(classify_limit_trend(t[probes]))
 
 
 @dataclass(frozen=True)
@@ -142,29 +140,16 @@ class IdealFlags:
     qnorm_normalized: TriState  # sup_i a_i r_i = 1 (within 1e-9)
 
 
-def _limit_flag(cls_a, cls_b, samples) -> TriState:
-    if cls_a is not None and cls_b is not None:
-        lim = limit_class(mul(cls_a, cls_b))
-        return TriState.YES if lim is Limit.ZERO else TriState.NO
-    trend = classify_limit_trend(samples)
-    if trend is Limit.ZERO:
-        return TriState.YES
-    if trend in (Limit.FINITE_NONZERO, Limit.INFINITE):
-        return TriState.NO
-    return TriState.INCONCLUSIVE
-
-
 def ideal_preconditions(a: SequenceSpec, r: SequenceSpec, n_max: int = 4096) -> IdealFlags:
     """The two ideal conditions plus the quasi-norm normalization."""
     probes = dyadic_probes(4, n_max)
     rv = r.values(n_max)
-    prod_samples = [a.scaled(n, rv[n - 1]) for n in probes]
-    nprod_samples = [a.scaled(n, n * rv[n - 1]) for n in probes]
-    ideal_ok = _limit_flag(a.asym, r.asym, prod_samples)
-    n_class = AsymptoticClass(1.0, 1.0, 1.0, 0.0)
-    closed_ok = _limit_flag(
-        mul(a.asym, n_class) if a.asym is not None else None, r.asym, nprod_samples
-    )
+    if a.asym is not None and r.asym is not None:
+        ideal_ok = vanishes(limit_class(mul(a.asym, r.asym)))
+        closed_ok = vanishes(limit_class(mul(mul(a.asym, INDEX), r.asym)))
+    else:
+        ideal_ok = vanishes(classify_limit_trend([a.scaled(n, rv[n - 1]) for n in probes]))
+        closed_ok = vanishes(classify_limit_trend([a.scaled(n, n * rv[n - 1]) for n in probes]))
     if a.asym is not None and r.asym is not None and limit_class(mul(a.asym, r.asym)) is Limit.INFINITE:
         normalized = TriState.NO
     else:
@@ -301,29 +286,18 @@ def chi_space_membership(v, a: SequenceSpec, r: SequenceSpec, n_max: int = 4096)
     a SequenceSpec decided by class algebra / probing.
     """
     if isinstance(v, SequenceSpec):
-        if v.asym is not None and a.asym is not None and r.asym is not None:
-            sum_cls = partial_sum(v.asym)
-            if sum_cls.verdict is not Verdict.UNDECIDED_BOUNDARY:
-                growth = sum_cls.growth if sum_cls.verdict is Verdict.DIVERGENT else AsymptoticClass(1.0, 1.0)
-                lim = limit_class(mul(mul(a.asym, growth), r.asym))
-                return TriState.YES if lim is Limit.ZERO else TriState.NO
-        probes = dyadic_probes(4, n_max)
-        prefix = exact_prefix_sums(v.values(n_max))
-        rv = r.values(n_max)
-        samples = [abs(a.scaled(n, prefix[n - 1])) * rv[n - 1] for n in probes]
-        trend = classify_limit_trend(samples)
-    else:
-        vec = np.asarray(v, dtype=complex)
-        total = complex(math.fsum(vec.real), math.fsum(vec.imag))
-        if total == 0:
-            return TriState.YES
-        return _limit_flag(
-            a.asym,
-            r.asym,
-            [abs(a.scaled(n, abs(total))) * r.value(n) for n in dyadic_probes(4, n_max)],
-        )
-    if trend is Limit.ZERO:
+        lim = _class_limit(v.asym, a, r)
+        if lim is None:
+            probes = dyadic_probes(4, n_max)
+            prefix = exact_prefix_sums(v.values(n_max))
+            rv = r.values(n_max)
+            lim = classify_limit_trend([abs(a.scaled(n, prefix[n - 1])) * rv[n - 1] for n in probes])
+        return vanishes(lim)
+    vec = np.asarray(v, dtype=complex)
+    total = complex(math.fsum(vec.real), math.fsum(vec.imag))
+    if total == 0:
         return TriState.YES
-    if trend in (Limit.FINITE_NONZERO, Limit.INFINITE):
-        return TriState.NO
-    return TriState.INCONCLUSIVE
+    if a.asym is not None and r.asym is not None:
+        return vanishes(limit_class(mul(a.asym, r.asym)))
+    samples = [abs(a.scaled(n, abs(total))) * r.value(n) for n in dyadic_probes(4, n_max)]
+    return vanishes(classify_limit_trend(samples))

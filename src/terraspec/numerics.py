@@ -7,18 +7,38 @@ when a finite sample does not pin down a limit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from enum import Enum
 
 import numpy as np
 
 from .asymptotics import Limit
+from .errors import TerraspecError
 
 
 class TriState(Enum):
     YES = "yes"
     NO = "no"
     INCONCLUSIVE = "inconclusive"
+
+
+def vanishes(lim: Limit | None) -> TriState:
+    """Does the sequence tend to 0: a class limit or probe trend as a verdict.
+
+    None (an undecided trend) is inconclusive.
+    """
+    if lim is None:
+        return TriState.INCONCLUSIVE
+    return TriState.YES if lim is Limit.ZERO else TriState.NO
+
+
+def finite_lambda(lam) -> complex:
+    """lam as a complex number; a NaN or infinite part raises ``lambda-not-finite``."""
+    lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise TerraspecError("lambda-not-finite", f"lambda must be finite, got {lam!r}")
+    return lam
 
 
 def kahan_cumsum(values) -> np.ndarray:

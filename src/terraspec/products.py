@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TerraspecError
+from .numerics import dyadic_probes, finite_lambda
 from .sequences import SequenceSpec
 
 #: relative tolerance for flagging a factor as numerically near-singular
@@ -29,7 +30,7 @@ BAND_TOL = 1e3
 
 def alpha(lam: complex) -> float:
     """Re(1/lambda), the exponent driver; undefined at 0."""
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("alpha-undefined-at-zero")
     return lam.real / (lam.real**2 + lam.imag**2)
@@ -57,7 +58,7 @@ def log_product(a: SequenceSpec, lam: complex, m: int, n: int) -> LogProduct:
     """Accumulate the tail product over k = m+1 .. n."""
     if not (0 <= m < n):
         raise TerraspecError("invalid-index-range", f"need 0 <= m < n, got m={m}, n={n}")
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("lambda-zero", "product factors are undefined at lambda = 0")
     vals = a.values(n)[m:n]
@@ -114,7 +115,7 @@ def ratio_band(
         raise TerraspecError("invalid-index-range", f"bad range {n_range}")
     if not chi > 0.0:
         raise TerraspecError("invalid-chi", f"chi must be positive, got {chi}")
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("lambda-zero")
     vals = a.values(n_hi)
@@ -122,9 +123,6 @@ def ratio_band(
         k = int(np.argmin(np.abs(lam - vals))) + 1
         raise TerraspecError("lambda-in-S", f"lambda matches a_{k}")
     e = alpha(lam) * chi if exponent is None else float(exponent)
-
-    from .numerics import dyadic_probes
-
     probes = dyadic_probes(n_lo, n_hi)
     ratios: list[tuple[int, float]] = []
     log_ratios: list[float] = []

@@ -13,6 +13,7 @@ where the probes drift instead of settling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -21,27 +22,7 @@ import numpy as np
 
 from .asymptotics import AsymptoticClass, INDEX, Limit, limit_class, mul
 from .errors import TerraspecError
-
-FAMILIES = (
-    "cesaro_scaled",
-    "p_cesaro",
-    "log_reciprocal",
-    "power_weight",
-    "geometric",
-    "constant",
-    "table",
-    "custom",
-)
-
-# JSON / keyword parameter names, in positional order, per family.
-_PARAM_NAMES = {
-    "cesaro_scaled": ("chi",),
-    "p_cesaro": ("p",),
-    "log_reciprocal": (),
-    "power_weight": ("beta",),
-    "geometric": ("ratio",),
-    "constant": ("value",),
-}
+from .numerics import classify_limit_trend, dyadic_probes
 
 
 @dataclass(frozen=True)
@@ -66,43 +47,13 @@ class SequenceSpec:
         """
         if n < 1:
             raise TerraspecError("index-out-of-range", f"n must be >= 1, got {n}")
-        fam = self.family
-        if fam == "cesaro_scaled":
-            return self.params[0] * factor / n
-        if fam == "p_cesaro":
-            return factor / float(n) ** self.params[0]
-        if fam == "log_reciprocal":
-            return factor / math.log(n + 1.0)
-        if fam == "power_weight":
-            return factor / float(n) ** self.params[0]
-        if fam == "geometric":
-            return self.params[0] ** n * factor
-        if fam == "constant":
-            return self.params[0] * factor
-        if fam == "table":
-            if n > len(self.table):
-                raise TerraspecError(
-                    "index-out-of-range", f"table has {len(self.table)} entries, asked for n={n}"
-                )
-            return self.table[n - 1] * factor
-        return self.fn(n) * factor
+        return _FAMILIES[self.family].scaled(self, n, factor)
 
     def log_value(self, n: int) -> float:
         """log a_n, computed without forming a_n (safe under under/overflow)."""
         if n < 1:
             raise TerraspecError("index-out-of-range", f"n must be >= 1, got {n}")
-        fam = self.family
-        if fam == "cesaro_scaled":
-            return math.log(self.params[0]) - math.log(n)
-        if fam in ("p_cesaro", "power_weight"):
-            return -self.params[0] * math.log(n)
-        if fam == "log_reciprocal":
-            return -math.log(math.log(n + 1.0))
-        if fam == "geometric":
-            return n * math.log(self.params[0])
-        if fam == "constant":
-            return math.log(self.params[0])
-        return math.log(self.value(n))
+        return _FAMILIES[self.family].log(self, n)
 
     def values(self, n_max: int) -> np.ndarray:
         """Array of a_1..a_{n_max}; cached, shared by scans and sections."""
@@ -112,42 +63,131 @@ class SequenceSpec:
         """Elementwise a_n * factors[n-1] for n = 1..len(factors), division last."""
         factors = np.asarray(factors, dtype=float)
         n = np.arange(1, len(factors) + 1, dtype=float)
-        fam = self.family
-        if fam == "cesaro_scaled":
-            return self.params[0] * factors / n
-        if fam in ("p_cesaro", "power_weight"):
-            return factors / n ** self.params[0]
-        if fam == "log_reciprocal":
-            return factors / np.log(n + 1.0)
-        return self.values(len(factors)) * factors
+        return _FAMILIES[self.family].vector(self, n, factors)
 
 
 @lru_cache(maxsize=128)
 def _values_cached(spec: SequenceSpec, n_max: int) -> np.ndarray:
-    n = np.arange(1, n_max + 1, dtype=float)
-    fam = spec.family
-    if fam == "cesaro_scaled":
-        out = spec.params[0] / n
-    elif fam in ("p_cesaro", "power_weight"):
-        out = 1.0 / n ** spec.params[0]
-    elif fam == "log_reciprocal":
-        out = 1.0 / np.log(n + 1.0)
-    elif fam == "geometric":
-        # growing ratios overflow to inf at large n; that is the honest value
-        with np.errstate(over="ignore"):
-            out = spec.params[0] ** n
-    elif fam == "constant":
-        out = np.full(n_max, spec.params[0])
-    elif fam == "table":
-        if n_max > len(spec.table):
-            raise TerraspecError(
-                "index-out-of-range", f"table has {len(spec.table)} entries, asked for n={n_max}"
-            )
-        out = np.array(spec.table[:n_max], dtype=float)
-    else:
-        out = np.array([spec.fn(k) for k in range(1, n_max + 1)], dtype=float)
+    out = _FAMILIES[spec.family].vector(spec, np.arange(1, n_max + 1, dtype=float), 1.0)
     out.setflags(write=False)
     return out
+
+
+@dataclass(frozen=True, slots=True)
+class _Family:
+    """One family: parameters, growth class and its three evaluators.
+
+    ``scaled(spec, n, factor)`` is a_n * factor, ``vector(spec, n, factors)``
+    its array form (``values`` passes 1.0), both division last.  ``asym`` is
+    None for user-supplied data (table, custom).
+    """
+
+    params: tuple[str, ...]  # JSON / keyword names, in positional order
+    positive: bool  # the first parameter must be > 0
+    asym: Callable[[tuple[float, ...]], AsymptoticClass] | None
+    scaled: Callable[[SequenceSpec, int, float], float]
+    log: Callable[[SequenceSpec, int], float]
+    vector: Callable[[SequenceSpec, np.ndarray, np.ndarray | float], np.ndarray]
+
+
+def _table_depth(spec: SequenceSpec, n: int) -> int:
+    if n > len(spec.table):
+        raise TerraspecError("index-out-of-range", f"table has {len(spec.table)} entries, asked for n={n}")
+    return n
+
+
+def _geometric_vector(spec, n, f):
+    # growing ratios overflow to inf at large n; that is the honest value
+    with np.errstate(over="ignore"):
+        return spec.params[0] ** n * f
+
+
+def _log_of_value(spec, n):
+    return math.log(spec.value(n))
+
+
+def _power_family(name: str) -> _Family:
+    """a_n = n**-p under the parameter name ``name``."""
+    return _Family(
+        (name,),
+        False,
+        lambda p: AsymptoticClass(1.0, 1.0, -p[0], 0.0),
+        lambda spec, n, f: f / float(n) ** spec.params[0],
+        lambda spec, n: -spec.params[0] * math.log(n),
+        lambda spec, n, f: f / n ** spec.params[0],
+    )
+
+
+_FAMILIES = {
+    "cesaro_scaled": _Family(
+        ("chi",),
+        True,
+        lambda p: AsymptoticClass(p[0], 1.0, -1.0, 0.0),
+        lambda spec, n, f: spec.params[0] * f / n,
+        lambda spec, n: math.log(spec.params[0]) - math.log(n),
+        lambda spec, n, f: spec.params[0] * f / n,
+    ),
+    "p_cesaro": _power_family("p"),
+    "log_reciprocal": _Family(
+        (),
+        False,
+        lambda p: AsymptoticClass(1.0, 1.0, 0.0, -1.0),
+        lambda spec, n, f: f / math.log(n + 1.0),
+        lambda spec, n: -math.log(math.log(n + 1.0)),
+        lambda spec, n, f: f / np.log(n + 1.0),
+    ),
+    "power_weight": _power_family("beta"),
+    "geometric": _Family(
+        ("ratio",),
+        True,
+        lambda p: AsymptoticClass(1.0, p[0], 0.0, 0.0),
+        lambda spec, n, f: spec.params[0] ** n * f,
+        lambda spec, n: n * math.log(spec.params[0]),
+        _geometric_vector,
+    ),
+    "constant": _Family(
+        ("value",),
+        True,
+        lambda p: AsymptoticClass(p[0], 1.0, 0.0, 0.0),
+        lambda spec, n, f: spec.params[0] * f,
+        lambda spec, n: math.log(spec.params[0]),
+        lambda spec, n, f: np.full(len(n), spec.params[0]) * f,
+    ),
+    "table": _Family(
+        (),
+        False,
+        None,
+        lambda spec, n, f: spec.table[_table_depth(spec, n) - 1] * f,
+        _log_of_value,
+        lambda spec, n, f: np.array(spec.table[: _table_depth(spec, len(n))], dtype=float) * f,
+    ),
+    "custom": _Family(
+        (),
+        False,
+        None,
+        lambda spec, n, f: spec.fn(n) * f,
+        _log_of_value,
+        lambda spec, n, f: np.array([spec.fn(k) for k in range(1, len(n) + 1)], dtype=float) * f,
+    ),
+}
+
+FAMILIES = tuple(_FAMILIES)
+
+
+def _family(name) -> _Family:
+    rec = _FAMILIES.get(name) if isinstance(name, str) else None
+    if rec is None:
+        raise TerraspecError("invalid-family-param", f"unknown family {name!r}")
+    return rec
+
+
+def _finite(family: str, what: str, value) -> float:
+    """value as a float; anything that is not a finite real number is rejected."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise TerraspecError(
+            "invalid-family-param", f"{family} {what} must be a finite number, got {value!r}"
+        )
+    return float(value)
 
 
 def make_family(
@@ -158,12 +198,15 @@ def make_family(
     asym: AsymptoticClass | None = None,
 ) -> SequenceSpec:
     """Build a SequenceSpec, auto-attaching the growth class of built-ins."""
-    if family not in FAMILIES:
-        raise TerraspecError("invalid-family-param", f"unknown family {family!r}")
+    rec = _family(family)
     if family == "table":
         if values is None:
             values = params
-        tab = tuple(float(v) for v in values)
+        try:
+            tab = tuple(_finite("table", "value", v) for v in values)
+        except TypeError:
+            msg = f"table values must be a list, got {values!r}"
+            raise TerraspecError("invalid-family-param", msg) from None
         if not tab:
             raise TerraspecError("invalid-family-param", "table needs at least one value")
         if any(not (v > 0.0) for v in tab):
@@ -173,31 +216,14 @@ def make_family(
         if fn is None:
             raise TerraspecError("invalid-family-param", "custom family needs fn")
         return SequenceSpec("custom", (), None, fn, asym)
-    names = _PARAM_NAMES[family]
-    if len(params) != len(names):
+    if len(params) != len(rec.params):
         raise TerraspecError(
-            "invalid-family-param", f"{family} takes {len(names)} parameter(s), got {len(params)}"
+            "invalid-family-param", f"{family} takes {len(rec.params)} parameter(s), got {len(params)}"
         )
-    pars = tuple(float(p) for p in params)
-    if family in ("cesaro_scaled", "geometric", "constant") and pars[0] <= 0.0:
+    pars = tuple(_finite(family, f"parameter {name}", p) for name, p in zip(rec.params, params))
+    if rec.positive and pars[0] <= 0.0:
         raise TerraspecError("invalid-family-param", f"{family} parameter must be positive, got {pars[0]}")
-    if asym is None:
-        asym = _builtin_class(family, pars)
-    return SequenceSpec(family, pars, None, None, asym)
-
-
-def _builtin_class(family: str, pars: tuple[float, ...]) -> AsymptoticClass:
-    if family == "cesaro_scaled":
-        return AsymptoticClass(pars[0], 1.0, -1.0, 0.0)
-    if family == "p_cesaro":
-        return AsymptoticClass(1.0, 1.0, -pars[0], 0.0)
-    if family == "log_reciprocal":
-        return AsymptoticClass(1.0, 1.0, 0.0, -1.0)
-    if family == "power_weight":
-        return AsymptoticClass(1.0, 1.0, -pars[0], 0.0)
-    if family == "geometric":
-        return AsymptoticClass(1.0, pars[0], 0.0, 0.0)
-    return AsymptoticClass(pars[0], 1.0, 0.0, 0.0)  # constant
+    return SequenceSpec(family, pars, None, None, rec.asym(pars) if asym is None else asym)
 
 
 # Thin constructors; tests and scripts read better with these.
@@ -235,7 +261,7 @@ def custom(fn: Callable[[int], float], asym: AsymptoticClass | None = None) -> S
 
 def max_index(spec: SequenceSpec) -> int | None:
     """Largest evaluable n (table length), or None when unlimited."""
-    return len(spec.table) if spec.family == "table" else None
+    return None if spec.table is None else len(spec.table)
 
 
 def from_json(obj: dict) -> SequenceSpec:
@@ -244,26 +270,25 @@ def from_json(obj: dict) -> SequenceSpec:
         raise TerraspecError("invalid-family-param", f"bad sequence object: {obj!r}")
     family = obj["family"]
     params = obj.get("params", {}) or {}
+    if not isinstance(params, dict):
+        raise TerraspecError("invalid-family-param", f"params must be an object, got {params!r}")
     if family == "table":
         return make_family("table", values=params.get("values", ()))
     if family == "custom":
         raise TerraspecError("invalid-family-param", "custom sequences are not expressible in JSON")
-    if family not in _PARAM_NAMES:
-        raise TerraspecError("invalid-family-param", f"unknown family {family!r}")
     try:
-        pos = tuple(float(params[name]) for name in _PARAM_NAMES[family])
+        pos = tuple(params[name] for name in _family(family).params)
     except KeyError as missing:
         raise TerraspecError("invalid-family-param", f"{family} needs parameter {missing}") from None
     return make_family(family, *pos)
 
 
 def to_json(spec: SequenceSpec) -> dict:
-    if spec.family == "table":
-        return {"family": "table", "params": {"values": list(spec.table)}}
-    if spec.family == "custom":
+    if spec.fn is not None:
         raise TerraspecError("invalid-family-param", "custom sequences are not expressible in JSON")
-    names = _PARAM_NAMES[spec.family]
-    return {"family": spec.family, "params": dict(zip(names, spec.params))}
+    if spec.table is not None:
+        return {"family": "table", "params": {"values": list(spec.table)}}
+    return {"family": spec.family, "params": dict(zip(_FAMILIES[spec.family].params, spec.params))}
 
 
 @dataclass(frozen=True)
@@ -286,8 +311,7 @@ def estimate_chi(a: SequenceSpec, window: tuple[int, int] = (16, 65536)) -> ChiE
     n_lo, n_hi = window
     if not (1 <= n_lo < n_hi):
         raise TerraspecError("index-out-of-range", f"bad window {window}")
-    from .numerics import dyadic_probes
-
+    probes = dyadic_probes(n_lo, n_hi)
     if a.asym is not None:
         na_class = mul(a.asym, INDEX)
         lim = limit_class(na_class)
@@ -296,11 +320,9 @@ def estimate_chi(a: SequenceSpec, window: tuple[int, int] = (16, 65536)) -> ChiE
         if lim is Limit.ZERO:
             raise TerraspecError("chi-zero", "n * a_n tends to zero (by class)")
         chi = na_class.constant
-        probes = dyadic_probes(n_lo, n_hi)
         residual = max(abs(a.scaled(n, float(n)) - chi) for n in probes)
         return ChiEstimate(chi, "analytic", residual)
 
-    probes = dyadic_probes(n_lo, n_hi)
     t = [a.scaled(n, float(n)) for n in probes]
     if len(t) >= 2:
         diffs = np.diff(t)
@@ -337,7 +359,7 @@ def verify_weight(w: SequenceSpec, n_max: int = 4096) -> WeightFlags:
     # Parametric families are positive by construction; the scan only needs
     # to reject bad tables/callables (and must not trip on float underflow
     # of, say, geometric weights at large n).
-    if w.family in ("table", "custom") and np.any(vals <= 0.0):
+    if (w.table is not None or w.fn is not None) and np.any(vals <= 0.0):
         bad = int(np.argmax(vals <= 0.0)) + 1
         raise TerraspecError("weight-not-positive", f"w_{bad} = {vals[bad - 1]!r} <= 0")
     with np.errstate(invalid="ignore"):  # inf - inf in overflowed tails
@@ -348,8 +370,6 @@ def verify_weight(w: SequenceSpec, n_max: int = 4096) -> WeightFlags:
         bounded = lim is not Limit.INFINITE
         bounded_below = lim is Limit.FINITE_NONZERO
     else:
-        from .numerics import classify_limit_trend, dyadic_probes
-
         probe_vals = vals[np.array(dyadic_probes(2, n_max)) - 1]
         trend = classify_limit_trend(probe_vals)
         bounded = trend is not Limit.INFINITE if trend is not None else bool(vals.max() < 1e12)

@@ -32,7 +32,8 @@ import scipy.linalg
 
 from .asymptotics import AsymptoticClass, Limit, Verdict, limit_class, mul, partial_sum, reciprocal
 from .errors import TerraspecError
-from .numerics import TriState, classify_limit_trend, complex_log_cumprod, dyadic_probes, signed_log_cumprod
+from .numerics import TriState, classify_limit_trend, complex_log_cumprod, dyadic_probes, finite_lambda
+from .numerics import signed_log_cumprod, vanishes
 from .products import alpha
 from .sequences import SequenceSpec, max_index, verify_weight
 from .terraced import FiniteSection, _freeze, build_section
@@ -101,7 +102,7 @@ def disk_position(lam: complex, chi: float, rtol: float = 1e-12) -> str:
     """
     if not chi > 0.0:
         raise TerraspecError("invalid-chi", f"chi must be positive, got {chi}")
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         return "boundary"
     radius = chi / 2.0
@@ -130,7 +131,7 @@ def dist_to_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> tuple[float
     """
     if n_max < 1:
         raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     diffs = np.abs(lam - a.values(_clamp(a, n_max)))
     k = int(np.argmin(diffs))
     d_scan = float(diffs[k])
@@ -142,16 +143,27 @@ def dist_to_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> tuple[float
 
 def find_in_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N, snap_tol: float = SNAP_TOL) -> int | None:
     """First 1-based index with a_k = lambda (exact or within the snap band)."""
-    lam = complex(lam)
-    vals = a.values(_clamp(a, n_max))
-    hits = np.flatnonzero(np.abs(lam - vals) <= snap_tol * np.abs(vals))
+    hits = _diagonal_hits(finite_lambda(lam), a.values(_clamp(a, n_max)), snap_tol)
     return int(hits[0]) + 1 if len(hits) else None
+
+
+def _diagonal_hits(lam: complex, vals: np.ndarray, snap_tol: float) -> np.ndarray:
+    """0-based indices k with lambda = vals[k] within the relative snap band."""
+    return np.flatnonzero(np.abs(lam - vals) <= snap_tol * np.abs(vals))
 
 
 def _weight_bounded(s: SequenceSpec) -> bool:
     if s.asym is not None:
         return limit_class(s.asym) is not Limit.INFINITE
     return verify_weight(s, _clamp(s, 1024)).bounded
+
+
+#: detail of the numeric eigen-limit probe, per outcome
+_PROBE_DETAIL = {
+    TriState.YES: "probe trend of a_n s_n n^(alpha chi) decays",
+    TriState.NO: "probe trend of a_n s_n n^(alpha chi) does not vanish",
+    TriState.INCONCLUSIVE: "probe trend ambiguous",
+}
 
 
 def point_spectrum_test(
@@ -169,7 +181,7 @@ def point_spectrum_test(
     alpha*chi drops below 1 there); otherwise the limit is decided on the
     growth classes when available, else by dyadic probes.
     """
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     idx = find_in_S(lam, a, n_max, snap_tol)
     if idx is None:
         return ProbeResult(TriState.NO, "lambda not in S, kernel is trivial")
@@ -179,17 +191,12 @@ def point_spectrum_test(
     if a.asym is not None and s.asym is not None:
         cls = mul(mul(a.asym, s.asym), AsymptoticClass(1.0, 1.0, ac, 0.0))
         lim = limit_class(cls)
-        detail = f"class limit of a_n s_n n^{ac:.6g} is {lim.value}"
-        return ProbeResult(TriState.YES if lim is Limit.ZERO else TriState.NO, detail)
+        return ProbeResult(vanishes(lim), f"class limit of a_n s_n n^{ac:.6g} is {lim.value}")
     depth = _clamp(s, _clamp(a, n_max))
     probes = dyadic_probes(min(16, depth), depth)
     logs = [a.log_value(n) + s.log_value(n) + ac * math.log(n) for n in probes]
-    trend = classify_limit_trend(np.exp(np.array(logs) - logs[0]))
-    if trend is Limit.ZERO:
-        return ProbeResult(TriState.YES, "probe trend of a_n s_n n^(alpha chi) decays")
-    if trend in (Limit.FINITE_NONZERO, Limit.INFINITE):
-        return ProbeResult(TriState.NO, "probe trend of a_n s_n n^(alpha chi) does not vanish")
-    return ProbeResult(TriState.INCONCLUSIVE, "probe trend ambiguous")
+    outcome = vanishes(classify_limit_trend(np.exp(np.array(logs) - logs[0])))
+    return ProbeResult(outcome, _PROBE_DETAIL[outcome])
 
 
 def _adjoint_series_class(s: SequenceSpec, ac: float):
@@ -213,7 +220,7 @@ def adjoint_point_test(
     Points on or outside the spectral circle are excluded outright (the
     adjoint point spectrum sits in the open disk union S).
     """
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         return ProbeResult(TriState.NO, "0 is never an adjoint eigenvalue")
     idx = find_in_S(lam, a, n_max, snap_tol)
@@ -254,9 +261,9 @@ def eigenvector(lam: complex, a: SequenceSpec, N: int, *, snap_tol: float = SNAP
     Entries are exponentiated per index from log-space products.  The
     formula needs lambda to appear exactly once on the diagonal up to N.
     """
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     vals = a.values(N)
-    hits = np.flatnonzero(np.abs(lam - vals) <= snap_tol * np.abs(vals))
+    hits = _diagonal_hits(lam, vals, snap_tol)
     if len(hits) == 0:
         raise TerraspecError("not-an-eigencandidate", f"lambda not on the diagonal up to N={N}")
     if len(hits) > 1:
@@ -286,7 +293,7 @@ def adjoint_eigvector(lam: complex, a: SequenceSpec, N: int) -> np.ndarray:
     When lambda = a_l the factor at j = l vanishes and every later entry
     is exactly zero.  lambda = 0 is rejected: the adjoint is injective.
     """
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("zero-not-adjoint-eigenvalue")
     if N < 1:
@@ -319,13 +326,13 @@ def resolvent_section(
     Off-diagonal entries come from prefix log-products, so the leading
     M x M block equals the M-dimensional section exactly.
     """
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("resolvent-undefined-at-zero")
     if N < 1:
         raise TerraspecError("index-out-of-range", f"N must be >= 1, got {N}")
     vals = a.values(N)
-    hits = np.flatnonzero(np.abs(lam - vals) <= snap_tol * np.abs(vals))
+    hits = _diagonal_hits(lam, vals, snap_tol)
     if len(hits):
         raise TerraspecError("lambda-in-S", f"lambda matches a_{hits[0] + 1}")
     B = np.zeros((N, N), dtype=complex)
@@ -386,7 +393,7 @@ def classify_point(
     exterior-is-resolvent and interior-candidate rules (their hypothesis
     fails) and those points degrade to boundary_unknown.
     """
-    lam = complex(lam)
+    lam = finite_lambda(lam)
     if not _weight_bounded(s):
         raise TerraspecError("weight-not-bounded", "spectral classification needs a bounded weight")
     s_decreasing = verify_weight(s, _clamp(s, min(n_max, 4096))).decreasing
@@ -414,7 +421,6 @@ def classify_point(
     al = alpha(lam)
     ac = al * chi
     pos = disk_position(lam, chi)
-    at_zero_flag = False
 
     if in_s:
         a1_res = point_spectrum_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
@@ -444,7 +450,7 @@ def classify_point(
         alpha=al,
         alpha_chi=ac,
         disk_position=pos,
-        at_disk_zero=at_zero_flag,
+        at_disk_zero=False,
         in_S=in_s,
         s_index=idx,
         dist_to_S=dist,

@@ -20,10 +20,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import logsumexp
 
-from . import asymptotics
-from .asymptotics import CONSTANT_ONE, INDEX, Limit, Verdict, limit_class, mul
+from .asymptotics import INDEX, Limit, limit_class, mul, partial_sum_growth, reciprocal
 from .errors import TerraspecError
-from .numerics import TriState, classify_limit_trend, dyadic_probes
+from .numerics import TriState, classify_limit_trend, dyadic_probes, vanishes
 from .sequences import SequenceSpec, verify_weight
 
 #: largest n for which every criterion value is kept as a sample
@@ -159,11 +158,8 @@ def _analytic_criterion_class(a, r, s):
     """Growth class of c_n, or None when the inputs do not determine it."""
     if a.asym is None or r.asym is None or s.asym is None:
         return None
-    sum_cls = asymptotics.partial_sum(asymptotics.reciprocal(r.asym))
-    if sum_cls.verdict is Verdict.UNDECIDED_BOUNDARY:
-        return None
-    growth = sum_cls.growth if sum_cls.verdict is Verdict.DIVERGENT else CONSTANT_ONE
-    return mul(mul(a.asym, s.asym), growth)
+    growth = partial_sum_growth(reciprocal(r.asym))
+    return None if growth is None else mul(mul(a.asym, s.asym), growth)
 
 
 def classify_boundedness(
@@ -190,14 +186,11 @@ def classify_boundedness(
         lim = classify_limit_trend([probe_vals[n] for n in ns])
         method = "numeric"
 
-    if lim is Limit.INFINITE:
-        bounded, compact = TriState.NO, TriState.NO
-    elif lim is Limit.ZERO:
-        bounded, compact = TriState.YES, TriState.YES
-    elif lim is Limit.FINITE_NONZERO:
-        bounded, compact = TriState.YES, TriState.NO
+    if lim is None:
+        bounded = TriState.INCONCLUSIVE
     else:
-        bounded, compact = TriState.INCONCLUSIVE, TriState.INCONCLUSIVE
+        bounded = TriState.NO if lim is Limit.INFINITE else TriState.YES
+    compact = vanishes(lim)
     norm = sup if bounded is TriState.YES else None
     return BoundednessReport(tuple(samples), sup, bounded, compact, norm, method, truncated)
 
@@ -263,23 +256,15 @@ def matrix_bounded_test(
                 cols[k].append((n, float(sv[n - 1] * ent[k - 1])))
 
     row_trend = classify_limit_trend([v for _, v in rows])
-    col_ok = True
-    col_unknown = False
+    # every column has a sample at n_max >= k; a negligible last one counts as decayed
+    col_decay = set()
     for k in col_ks:
         vals = [v for _, v in cols[k]]
-        if not vals:
-            continue
-        trend = classify_limit_trend(vals)
-        if vals[-1] <= 1e-8 or trend is Limit.ZERO:
-            continue
-        if trend is None:
-            col_unknown = True
-        else:
-            col_ok = False
+        col_decay.add(TriState.YES if vals[-1] <= 1e-8 else vanishes(classify_limit_trend(vals)))
 
-    if row_trend is Limit.INFINITE or not col_ok:
+    if row_trend is Limit.INFINITE or TriState.NO in col_decay:
         verdict = "fail"
-    elif row_trend is None or col_unknown:
+    elif row_trend is None or TriState.INCONCLUSIVE in col_decay:
         verdict = "inconclusive"
     else:
         verdict = "pass"

@@ -64,6 +64,17 @@ class TestClassify:
     def test_missing_config_file(self, tmp_path):
         assert run(["classify", "--config", tmp_path / "nope.json", "--out", tmp_path / "x.json"]) == 1
 
+    def test_nan_family_parameter(self, tmp_path, capsys):
+        # json.dumps writes NaN, which json.loads accepts
+        cfg = write_cfg(tmp_path, {"a": {"family": "p_cesaro", "params": {"p": float("nan")}}})
+        assert run(["classify", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert "invalid-family-param" in capsys.readouterr().err
+
+    def test_string_family_parameter(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"a": {"family": "cesaro_scaled", "params": {"chi": "abc"}}})
+        assert run(["classify", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert "invalid-family-param" in capsys.readouterr().err
+
 
 class TestSpectrumMap:
     def cfg(self, tmp_path, grid):
@@ -141,6 +152,36 @@ class TestPointTest:
         assert [r["label"] for r in results] == ["residual", "resolvent", "residual"]
         assert results[0]["adjoint"] == "yes"
         assert results[1]["adjoint"] == "no"
+
+
+class TestConfigCoercion:
+    def test_non_finite_lambdas(self, tmp_path, capsys):
+        for lam in (float("nan"), float("inf"), [0.5, float("nan")]):
+            cfg = write_cfg(tmp_path, {**CESARO_CFG, "point_test": {"lambdas": [lam]}})
+            assert run(["point-test", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+            assert "terraspec: error: lambda-not-finite" in capsys.readouterr().err
+
+    def test_bad_chi(self, tmp_path, capsys):
+        for chi in ("x", float("nan"), float("inf")):
+            cfg = write_cfg(tmp_path, {**CESARO_CFG, "chi": chi, "point_test": {"lambdas": [0.5]}})
+            assert run(["point-test", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("terraspec: error: ") and "chi" in err
+
+    def test_bad_numbers(self, tmp_path, capsys):
+        cases = [
+            ("resolvent-verify", {"resolvent_verify": {"lambda": 2.0, "n": "x"}}),
+            ("resolvent-verify", {"resolvent_verify": {"lambda": ["x", 0.0], "n": 10}}),
+            ("product-band", {"product_band": {"lambda": 2.0, "n_range": ["a", 64]}}),
+            ("product-band", {"product_band": {"lambda": 2.0, "exponent": "e"}}),
+            ("spectrum-map", {"spectrum_map": {"grid": {"re_range": [0, 1], "im_range": [0, 1], "resolution": "ab"}}}),
+            ("ideal-qnorm", {"ideal_qnorm": {"snumbers": [1.0, "x"]}}),
+            ("ideal-axioms", {"ideal_axioms": {"trials": "many"}}),
+        ]
+        for command, block in cases:
+            cfg = write_cfg(tmp_path, {**CESARO_CFG, **block})
+            assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+            assert "terraspec: error: " in capsys.readouterr().err
 
 
 class TestResolventVerify:

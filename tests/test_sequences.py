@@ -52,6 +52,28 @@ class TestMakeFamily:
                 bad()
             assert exc.value.code == "invalid-family-param"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(lambda: make_family("p_cesaro", math.nan), id="nan"),
+            pytest.param(lambda: make_family("cesaro_scaled", math.inf), id="inf"),
+            pytest.param(lambda: make_family("power_weight", "abc"), id="string"),
+            pytest.param(lambda: make_family("geometric", None), id="none"),
+            pytest.param(lambda: table([1.0, math.inf]), id="table-inf"),
+            pytest.param(lambda: table(["abc"]), id="table-string"),
+            pytest.param(lambda: table(5.0), id="table-scalar"),
+            pytest.param(lambda: from_json({"family": "p_cesaro", "params": {"p": math.nan}}), id="json-nan"),
+            pytest.param(lambda: from_json({"family": "cesaro_scaled", "params": {"chi": "abc"}}), id="json-string"),
+            pytest.param(lambda: from_json({"family": "table", "params": {"values": ["abc"]}}), id="json-table"),
+            pytest.param(lambda: from_json({"family": "constant", "params": [1.0]}), id="json-params-list"),
+            pytest.param(lambda: from_json({"family": ["constant"]}), id="json-family-list"),
+        ],
+    )
+    def test_non_finite_and_non_numeric_params(self, bad):
+        with pytest.raises(TerraspecError) as exc:
+            bad()
+        assert exc.value.code == "invalid-family-param"
+
 
 class TestEval:
     def test_scaled_cesaro(self):
@@ -149,9 +171,113 @@ def test_builtin_values_track_their_class(spec):
 
 
 def test_json_round_trip():
-    for spec in (cesaro_scaled(2.0), geometric(0.25), table([3.0, 1.0]), log_reciprocal()):
+    for spec in (
+        cesaro_scaled(2.0),
+        p_cesaro(1.5),
+        log_reciprocal(),
+        power_weight(-0.5),
+        geometric(0.25),
+        constant(3.0),
+        table([3.0, 1.0]),
+    ):
         assert from_json(to_json(spec)) == spec
     with pytest.raises(TerraspecError):
         from_json({"family": "unknown"})
     with pytest.raises(TerraspecError):
         from_json({"family": "geometric", "params": {}})
+
+
+def _reference_fn(k: int) -> float:
+    return 1.0 / (k + 0.5)
+
+
+# (spec, scaled(n, f), log a_n, values(N), scaled_values(factors), growth class):
+# the per-family formulas written out literally, as they stood before the
+# family table; every family must reproduce them bit for bit.
+_TABLE = (3.0, 1.0, 0.5, 0.25, 0.2)
+FAMILY_REFERENCE = [
+    (
+        cesaro_scaled(0.7),
+        lambda n, f: 0.7 * f / n,
+        lambda n: math.log(0.7) - math.log(n),
+        lambda N: 0.7 / np.arange(1, N + 1, dtype=float),
+        lambda fs: 0.7 * fs / np.arange(1, len(fs) + 1, dtype=float),
+        AsymptoticClass(0.7, 1.0, -1.0, 0.0),
+    ),
+    (
+        p_cesaro(1.5),
+        lambda n, f: f / float(n) ** 1.5,
+        lambda n: -1.5 * math.log(n),
+        lambda N: 1.0 / np.arange(1, N + 1, dtype=float) ** 1.5,
+        lambda fs: fs / np.arange(1, len(fs) + 1, dtype=float) ** 1.5,
+        AsymptoticClass(1.0, 1.0, -1.5, 0.0),
+    ),
+    (
+        log_reciprocal(),
+        lambda n, f: f / math.log(n + 1.0),
+        lambda n: -math.log(math.log(n + 1.0)),
+        lambda N: 1.0 / np.log(np.arange(1, N + 1, dtype=float) + 1.0),
+        lambda fs: fs / np.log(np.arange(1, len(fs) + 1, dtype=float) + 1.0),
+        AsymptoticClass(1.0, 1.0, 0.0, -1.0),
+    ),
+    (
+        power_weight(-0.25),
+        lambda n, f: f / float(n) ** -0.25,
+        lambda n: 0.25 * math.log(n),
+        lambda N: 1.0 / np.arange(1, N + 1, dtype=float) ** -0.25,
+        lambda fs: fs / np.arange(1, len(fs) + 1, dtype=float) ** -0.25,
+        AsymptoticClass(1.0, 1.0, 0.25, 0.0),
+    ),
+    (
+        geometric(0.9),
+        lambda n, f: 0.9**n * f,
+        lambda n: n * math.log(0.9),
+        lambda N: 0.9 ** np.arange(1, N + 1, dtype=float),
+        lambda fs: 0.9 ** np.arange(1, len(fs) + 1, dtype=float) * fs,
+        AsymptoticClass(1.0, 0.9, 0.0, 0.0),
+    ),
+    (
+        constant(2.5),
+        lambda n, f: 2.5 * f,
+        lambda n: math.log(2.5),
+        lambda N: np.full(N, 2.5),
+        lambda fs: np.full(len(fs), 2.5) * fs,
+        AsymptoticClass(2.5, 1.0, 0.0, 0.0),
+    ),
+    (
+        table(_TABLE),
+        lambda n, f: _TABLE[n - 1] * f,
+        lambda n: math.log(_TABLE[n - 1] * 1.0),
+        lambda N: np.array(_TABLE[:N], dtype=float),
+        lambda fs: np.array(_TABLE[: len(fs)], dtype=float) * fs,
+        None,
+    ),
+    (
+        custom(_reference_fn),
+        lambda n, f: _reference_fn(n) * f,
+        lambda n: math.log(_reference_fn(n) * 1.0),
+        lambda N: np.array([_reference_fn(k) for k in range(1, N + 1)], dtype=float),
+        lambda fs: np.array([_reference_fn(k) for k in range(1, len(fs) + 1)], dtype=float) * fs,
+        None,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,scaled,log_value,values,scaled_values,asym",
+    FAMILY_REFERENCE,
+    ids=[row[0].family for row in FAMILY_REFERENCE],
+)
+def test_family_table_is_bit_exact(spec, scaled, log_value, values, scaled_values, asym):
+    depth = len(_TABLE) if spec.family == "table" else 3000
+    ns = [n for n in (1, 2, 3, 5, 17, 100, 1023, 3000) if n <= depth]
+    for n in ns:
+        for f in (1.0, 0.3, 7.0, float(n), 1e-300):
+            assert spec.scaled(n, f) == scaled(n, f)
+        assert spec.value(n) == scaled(n, 1.0)
+        assert spec.log_value(n) == log_value(n)
+    for N in sorted({1, min(5, depth), depth}):
+        assert np.array_equal(spec.values(N), values(N))
+        factors = np.linspace(0.1, 9.0, N)
+        assert np.array_equal(spec.scaled_values(factors), scaled_values(factors))
+    assert spec.asym == asym

@@ -6,7 +6,7 @@ import scipy.linalg
 
 from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
-from terraspec.products import alpha
+from terraspec.products import alpha, log_product, ratio_band
 from terraspec.sequences import cesaro_scaled, constant, power_weight, table
 from terraspec.spectrum import (
     GridSpec,
@@ -323,6 +323,33 @@ class TestClassifyPoint:
         s = table([0.5, 1.0, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8])
         pt = classify_point(2.0, CESARO, s, 1.0, n_max=8)
         assert pt.label is Label.BOUNDARY_UNKNOWN
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.0)])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda lam: classify_point(lam, CESARO, UNIT, 1.0),
+        lambda lam: point_spectrum_test(lam, CESARO, UNIT, 1.0),
+        lambda lam: adjoint_point_test(lam, CESARO, UNIT, 1.0),
+        lambda lam: disk_position(lam, 1.0),
+        lambda lam: dist_to_S(lam, CESARO),
+        lambda lam: eigenvector(lam, CESARO, 10),
+        lambda lam: adjoint_eigvector(lam, CESARO, 10),
+        lambda lam: resolvent_section(lam, CESARO, 10),
+        lambda lam: alpha(lam),
+        lambda lam: log_product(CESARO, lam, 0, 4),
+        lambda lam: ratio_band(CESARO, lam, 1.0, (16, 256)),
+    ],
+    ids=[
+        "classify_point", "point_spectrum_test", "adjoint_point_test", "disk_position", "dist_to_S",
+        "eigenvector", "adjoint_eigvector", "resolvent_section", "alpha", "log_product", "ratio_band",
+    ],
+)
+def test_non_finite_lambda_rejected(entry, lam):
+    with pytest.raises(TerraspecError) as exc:
+        entry(lam)
+    assert exc.value.code == "lambda-not-finite"
 
 
 class TestSpectrumGrid:
