@@ -109,6 +109,23 @@ def _number(convert, value, name: str):
         raise ConfigError(f"bad {name}: {value!r}") from exc
 
 
+def _finite_float(value, name: str) -> float:
+    """value as a float; NaN, an infinity or a non-number is a config error."""
+    x = _number(float, value, name)
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer or an integral float; a bool, a fraction or a string is a config error."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _sequence(cfg: dict, key: str, default=None) -> sequences.SequenceSpec:
     if key not in cfg:
         if default is not None:
@@ -122,8 +139,8 @@ def _sequence(cfg: dict, key: str, default=None) -> sequences.SequenceSpec:
 
 def _chi(cfg: dict, a: sequences.SequenceSpec) -> float:
     if "chi" in cfg:
-        chi = _number(float, cfg["chi"], "chi")
-        if not (math.isfinite(chi) and chi > 0):
+        chi = _finite_float(cfg["chi"], "chi")
+        if chi <= 0:
             raise ConfigError("chi must be positive and finite")
         return chi
     try:
@@ -141,8 +158,8 @@ def _lambda(value) -> complex:
 
 
 def _n_max(cfg: dict, default: int = 10000) -> int:
-    n = cfg.get("n_max", default)
-    if not isinstance(n, int) or n < 1:
+    n = _integer(cfg.get("n_max", default), "n_max")
+    if n < 1:
         raise ConfigError("n_max must be a positive integer")
     return n
 
@@ -176,7 +193,8 @@ def _grid_from_cfg(block: dict) -> spectrum.GridSpec:
         re_range = tuple(float(v) for v in block["re_range"])
         im_range = tuple(float(v) for v in block["im_range"])
         res = block["resolution"]
-        res = (res, res) if isinstance(res, int) else (int(res[0]), int(res[1]))
+        res = res if isinstance(res, (list, tuple)) else (res, res)
+        res = (_integer(res[0], "grid resolution"), _integer(res[1], "grid resolution"))
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid block: {exc}") from exc
     try:
@@ -284,8 +302,8 @@ def cmd_resolvent_verify(cfg: dict, digest: str, out: str, jobs: int) -> int:
     if "lambda" not in block or "n" not in block:
         raise ConfigError("resolvent-verify needs resolvent_verify.lambda and .n")
     lam = _lambda(block["lambda"])
-    n = _number(int, block["n"], "resolvent_verify.n")
-    tol = _number(float, block.get("tol", 1e-10), "resolvent_verify.tol")
+    n = _integer(block["n"], "resolvent_verify.n")
+    tol = _finite_float(block.get("tol", 1e-10), "resolvent_verify.tol")
     check = spectrum.verify_resolvent(lam, a, n, tol)
     payload = _meta(digest, _effective_seed(cfg))
     payload["result"] = {
@@ -309,11 +327,12 @@ def cmd_product_band(cfg: dict, digest: str, out: str, jobs: int, csv_out: str |
         raise ConfigError("product-band needs product_band.lambda")
     lam = _lambda(block["lambda"])
     n_range = block.get("n_range", (128, 32768))
-    n_range = _number(lambda r: (int(r[0]), int(r[1])), n_range, "product_band.n_range")
+    name = "product_band.n_range"
+    n_range = _number(lambda r: (_integer(r[0], name), _integer(r[1], name)), n_range, name)
     exponent = block.get("exponent")
     report = products.ratio_band(
         a, lam, chi, n_range,
-        exponent=None if exponent is None else _number(float, exponent, "product_band.exponent"),
+        exponent=None if exponent is None else _finite_float(exponent, "product_band.exponent"),
     )
     payload = _meta(digest, _effective_seed(cfg))
     payload["result"] = {
@@ -342,10 +361,11 @@ def cmd_ideal_qnorm(cfg: dict, digest: str, out: str, jobs: int) -> int:
     r = _sequence(cfg, "r", sequences.constant(1.0))
     block = cfg.get("ideal_qnorm", {})
     if "snumbers" in block:
-        values = _number(lambda vs: tuple(float(v) for v in vs), block["snumbers"], "ideal_qnorm.snumbers")
+        name = "ideal_qnorm.snumbers"
+        values = _number(lambda vs: tuple(_finite_float(v, name) for v in vs), block["snumbers"], name)
         snum = ideals.SNumberSequence(values, "user")
     elif "section_n" in block:
-        sec = terraced.build_section(a, _number(int, block["section_n"], "ideal_qnorm.section_n"))
+        sec = terraced.build_section(a, _integer(block["section_n"], "ideal_qnorm.section_n"))
         s_w = _sequence(cfg, "s", sequences.constant(1.0))
         snum = ideals.snumbers_from_section(sec, r, s_w)
     else:
@@ -372,8 +392,8 @@ def cmd_ideal_axioms(cfg: dict, digest: str, out: str, jobs: int) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
     block = cfg.get("ideal_axioms", {})
-    trials = _number(int, block.get("trials", 200), "ideal_axioms.trials")
-    dim = _number(int, block.get("dim", 8), "ideal_axioms.dim")
+    trials = _integer(block.get("trials", 200), "ideal_axioms.trials")
+    dim = _integer(block.get("dim", 8), "ideal_axioms.dim")
     seed = _effective_seed(cfg)
     report = ideals.check_quasinorm_axioms(trials, dim, a, r, seed=seed)
     payload = _meta(digest, seed)

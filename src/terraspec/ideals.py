@@ -289,9 +289,9 @@ def chi_space_membership(v, a: SequenceSpec, r: SequenceSpec, n_max: int = 4096)
         lim = _class_limit(v.asym, a, r)
         if lim is None:
             probes = dyadic_probes(4, n_max)
-            prefix = exact_prefix_sums(v.values(n_max))
+            vv = v.values(n_max)
             rv = r.values(n_max)
-            lim = classify_limit_trend([abs(a.scaled(n, prefix[n - 1])) * rv[n - 1] for n in probes])
+            lim = classify_limit_trend([abs(a.scaled(n, math.fsum(vv[:n]))) * rv[n - 1] for n in probes])
         return vanishes(lim)
     vec = np.asarray(v, dtype=complex)
     total = complex(math.fsum(vec.real), math.fsum(vec.imag))

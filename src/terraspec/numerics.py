@@ -41,19 +41,22 @@ def finite_lambda(lam) -> complex:
     return lam
 
 
-def kahan_cumsum(values) -> np.ndarray:
-    """Running sums with Kahan compensation (float64 in, float64 out)."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape, dtype=float)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        out[i] = total
-    return out
+def compensated_cumsum(values) -> np.ndarray:
+    """Running sums with every rounding error added back (prefix form of Sum2).
+
+    The sequential sums s_i = fl(s_{i-1} + x_i) come from ``np.cumsum``;
+    TwoSum gives the exact error e_i of each step, and s_i + sum_{j<=i} e_j
+    is the compensated prefix (Ogita, Rump & Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 26(6), 2005).  Once a prefix is not
+    finite the entries from there on are meaningless (NaN or inf).
+    """
+    x = np.asarray(values, dtype=float)
+    s = np.cumsum(x)
+    prev = np.concatenate(([0.0], s[:-1]))
+    with np.errstate(invalid="ignore"):  # inf - inf past a non-finite step
+        virtual = s - prev
+        err = (prev - (s - virtual)) + (x - virtual)
+        return s + np.cumsum(err)
 
 
 def exact_prefix_sums(values) -> np.ndarray:

@@ -59,6 +59,10 @@ class SequenceSpec:
         """Array of a_1..a_{n_max}; cached, shared by scans and sections."""
         return _values_cached(self, n_max)
 
+    def log_values(self, n_max: int) -> np.ndarray:
+        """Array of log a_1..log a_{n_max}, computed without forming a_n."""
+        return _FAMILIES[self.family].vlog(self, np.arange(1, n_max + 1, dtype=float))
+
     def scaled_values(self, factors: np.ndarray) -> np.ndarray:
         """Elementwise a_n * factors[n-1] for n = 1..len(factors), division last."""
         factors = np.asarray(factors, dtype=float)
@@ -75,11 +79,13 @@ def _values_cached(spec: SequenceSpec, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class _Family:
-    """One family: parameters, growth class and its three evaluators.
+    """One family: parameters, growth class and its four evaluators.
 
     ``scaled(spec, n, factor)`` is a_n * factor, ``vector(spec, n, factors)``
-    its array form (``values`` passes 1.0), both division last.  ``asym`` is
-    None for user-supplied data (table, custom).
+    its array form (``values`` passes 1.0), both division last.  ``log`` is
+    log a_n and ``vlog(spec, n)`` its array form.  The array forms take
+    n = 1..N as floats.  ``asym`` is None for user-supplied data (table,
+    custom).
     """
 
     params: tuple[str, ...]  # JSON / keyword names, in positional order
@@ -88,6 +94,7 @@ class _Family:
     scaled: Callable[[SequenceSpec, int, float], float]
     log: Callable[[SequenceSpec, int], float]
     vector: Callable[[SequenceSpec, np.ndarray, np.ndarray | float], np.ndarray]
+    vlog: Callable[[SequenceSpec, np.ndarray], np.ndarray]
 
 
 def _table_depth(spec: SequenceSpec, n: int) -> int:
@@ -106,6 +113,11 @@ def _log_of_value(spec, n):
     return math.log(spec.value(n))
 
 
+def _log_of_values(spec, n):
+    # math.log per entry: a non-positive user value raises, as in _log_of_value
+    return np.array([math.log(v) for v in spec.values(len(n))])
+
+
 def _power_family(name: str) -> _Family:
     """a_n = n**-p under the parameter name ``name``."""
     return _Family(
@@ -115,6 +127,7 @@ def _power_family(name: str) -> _Family:
         lambda spec, n, f: f / float(n) ** spec.params[0],
         lambda spec, n: -spec.params[0] * math.log(n),
         lambda spec, n, f: f / n ** spec.params[0],
+        lambda spec, n: -spec.params[0] * np.log(n),
     )
 
 
@@ -126,6 +139,7 @@ _FAMILIES = {
         lambda spec, n, f: spec.params[0] * f / n,
         lambda spec, n: math.log(spec.params[0]) - math.log(n),
         lambda spec, n, f: spec.params[0] * f / n,
+        lambda spec, n: math.log(spec.params[0]) - np.log(n),
     ),
     "p_cesaro": _power_family("p"),
     "log_reciprocal": _Family(
@@ -135,6 +149,7 @@ _FAMILIES = {
         lambda spec, n, f: f / math.log(n + 1.0),
         lambda spec, n: -math.log(math.log(n + 1.0)),
         lambda spec, n, f: f / np.log(n + 1.0),
+        lambda spec, n: -np.log(np.log(n + 1.0)),
     ),
     "power_weight": _power_family("beta"),
     "geometric": _Family(
@@ -144,6 +159,7 @@ _FAMILIES = {
         lambda spec, n, f: spec.params[0] ** n * f,
         lambda spec, n: n * math.log(spec.params[0]),
         _geometric_vector,
+        lambda spec, n: n * math.log(spec.params[0]),
     ),
     "constant": _Family(
         ("value",),
@@ -152,6 +168,7 @@ _FAMILIES = {
         lambda spec, n, f: spec.params[0] * f,
         lambda spec, n: math.log(spec.params[0]),
         lambda spec, n, f: np.full(len(n), spec.params[0]) * f,
+        lambda spec, n: np.full(len(n), math.log(spec.params[0])),
     ),
     "table": _Family(
         (),
@@ -160,6 +177,7 @@ _FAMILIES = {
         lambda spec, n, f: spec.table[_table_depth(spec, n) - 1] * f,
         _log_of_value,
         lambda spec, n, f: np.array(spec.table[: _table_depth(spec, len(n))], dtype=float) * f,
+        _log_of_values,
     ),
     "custom": _Family(
         (),
@@ -168,6 +186,7 @@ _FAMILIES = {
         lambda spec, n, f: spec.fn(n) * f,
         _log_of_value,
         lambda spec, n, f: np.array([spec.fn(k) for k in range(1, len(n) + 1)], dtype=float) * f,
+        _log_of_values,
     ),
 }
 
@@ -203,7 +222,9 @@ def make_family(
         if values is None:
             values = params
         try:
-            tab = tuple(_finite("table", "value", v) for v in values)
+            # plain floats, as JSON tables arrive, skip the numbers.Real check
+            tab = tuple(v if type(v) is float and math.isfinite(v) else _finite("table", "value", v)
+                        for v in values)
         except TypeError:
             msg = f"table values must be a list, got {values!r}"
             raise TerraspecError("invalid-family-param", msg) from None

@@ -242,7 +242,7 @@ def adjoint_point_test(
     # numeric fallback: log-space partial sums at dyadic n
     depth = _clamp(s, n_max)
     probes = dyadic_probes(min(16, depth), depth)
-    log_terms = np.array([-s.log_value(n) - ac * math.log(n) for n in range(1, depth + 1)])
+    log_terms = -s.log_values(depth) - ac * np.log(np.arange(1, depth + 1))
     log_sums = np.logaddexp.accumulate(log_terms)
     sums = np.exp(log_sums[np.array(probes) - 1] - log_sums[probes[0] - 1])
     trend = classify_limit_trend(sums)

@@ -22,7 +22,7 @@ from scipy.special import logsumexp
 
 from .asymptotics import INDEX, Limit, limit_class, mul, partial_sum_growth, reciprocal
 from .errors import TerraspecError
-from .numerics import TriState, classify_limit_trend, dyadic_probes, vanishes
+from .numerics import TriState, classify_limit_trend, compensated_cumsum, dyadic_probes, vanishes
 from .sequences import SequenceSpec, verify_weight
 
 #: largest n for which every criterion value is kept as a sample
@@ -81,55 +81,43 @@ def conjugate_section(sec: FiniteSection, r: SequenceSpec, s: SequenceSpec) -> F
 
 
 def _criterion_scan(a: SequenceSpec, r: SequenceSpec, s: SequenceSpec, n_max: int):
-    """One pass over n = 1..n_max.
+    """c_n for n = 1..n_max as arrays.
 
     Returns (samples, probe_values, sup_estimate, truncated).  The running
-    sum of 1/r_k is Kahan-compensated and switches to log-space
-    accumulation once it would leave the double range (geometric weights
-    make 1/r_k grow geometrically).
+    sums of 1/r_k are compensated prefix sums.  From the first term that is
+    not finite, or the first sum that would pass 1e300 (geometric weights
+    make 1/r_k grow geometrically), they continue in log space.  The scan
+    stops before the first c_n above exp(709) and reports it truncated.
+    A NaN c_n is sampled but never taken as the supremum.
     """
     rv = r.values(n_max)
     sv = s.values(n_max)
-    probes = set(dyadic_probes(1, n_max))
-    sample_ns: list[int] = []
-    sample_cs: list[float] = []
-    probe_vals: dict[int, float] = {}
-    sup = 0.0
+    probes = dyadic_probes(1, n_max)
+    # a table a shorter than n_max is read to its end; the scan fails there
+    # unless it was truncated first
+    depth = n_max if a.table is None else min(n_max, len(a.table))
+    rv, sv = rv[:depth], sv[:depth]
     truncated = False
-
-    total = 0.0
-    comp = 0.0
-    log_mode = False
-    log_total = -math.inf
-    for n in range(1, n_max + 1):
-        if not log_mode:
-            rn = rv[n - 1]
-            term = 1.0 / rn if rn > 0.0 else math.inf
-            if not math.isfinite(term) or total + term > 1e300:
-                log_mode = True
-                log_total = math.log(total) if total > 0.0 else -math.inf
-            else:
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-        if not log_mode:
-            c = sv[n - 1] * a.scaled(n, total)
-        else:
-            log_total = np.logaddexp(log_total, -r.log_value(n))
-            log_c = log_total + s.log_value(n) + a.log_value(n)
-            if log_c > 709.0:
-                truncated = True
-                break
-            c = math.exp(log_c)
-        if c > sup:
-            sup = c
-        if n <= min(n_max, DENSE_SAMPLE_LIMIT) or n in probes:
-            sample_ns.append(n)
-            sample_cs.append(c)
-        if n in probes:
-            probe_vals[n] = c
-    samples = list(zip(sample_ns, sample_cs))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = np.where(rv > 0.0, 1.0 / rv, math.inf)
+        totals = compensated_cumsum(terms)
+        prev = np.concatenate(([0.0], totals[:-1]))
+        to_log = np.flatnonzero(~np.isfinite(terms) | (prev + terms > 1e300))
+        m = int(to_log[0]) if to_log.size else depth
+        c = sv[:m] * a.scaled_values(totals[:m])
+        if m < depth:
+            log_sums = np.logaddexp.accumulate(np.concatenate(([np.log(prev[m])], -r.log_values(depth)[m:])))
+            log_c = (log_sums[1:] + s.log_values(depth)[m:]) + a.log_values(depth)[m:]
+            over = np.flatnonzero(log_c > 709.0)
+            truncated = bool(over.size)
+            c = np.concatenate((c, np.exp(log_c[: over[0] if truncated else None])))
+    if depth < n_max and not truncated:
+        a.values(depth + 1)  # raises index-out-of-range for the short table
+    keep = np.union1d(np.arange(1, min(n_max, DENSE_SAMPLE_LIMIT) + 1), probes)
+    keep = keep[keep <= len(c)]
+    samples = list(zip(keep.tolist(), c[keep - 1].tolist()))
+    probe_vals = {n: float(c[n - 1]) for n in probes if n <= len(c)}
+    sup = float(np.max(c, initial=0.0, where=~np.isnan(c)))
     return samples, probe_vals, sup, truncated
 
 
@@ -238,7 +226,7 @@ def matrix_bounded_test(
     inconclusive.
     """
     probes = dyadic_probes(8, n_max) if n_max >= 8 else dyadic_probes(1, n_max)
-    log_rv = np.array([r.log_value(k) for k in range(1, n_max + 1)])
+    log_rv = r.log_values(n_max)
     sv = s.values(n_max)
     col_ks = [k for k in (1, 2, 4, 8, 16) if k <= n_max]
     rows: list[tuple[int, float]] = []

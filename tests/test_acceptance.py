@@ -15,7 +15,7 @@ import scipy.linalg
 from terraspec.asymptotics import AsymptoticClass
 from terraspec.cli import main as cli_main
 from terraspec.ideals import SNumberSequence, check_quasinorm_axioms, inclusion_check
-from terraspec.numerics import TriState, kahan_cumsum
+from terraspec.numerics import TriState, compensated_cumsum
 from terraspec.products import alpha, ratio_band
 from terraspec.sequences import cesaro_scaled, constant, geometric, log_reciprocal
 from terraspec.spectrum import (
@@ -62,7 +62,7 @@ def test_criterion_02_cesaro_baseline():
     with criterion(2, "Cesaro on plain c0: c_n = 1 exactly, norm 1, empty point spectrum", 1.0):
         a, u = cesaro_scaled(1.0), constant(1.0)
         n_max = 10**4
-        sums = kahan_cumsum(1.0 / u.values(n_max))
+        sums = compensated_cumsum(1.0 / u.values(n_max))
         c_all = u.values(n_max) * a.scaled_values(sums)
         assert np.all(c_all == 1.0)
         samples = criterion_sequence(a, u, u, n_max)

@@ -1,4 +1,7 @@
 import json
+import math
+
+import pytest
 
 from terraspec.cli import main
 
@@ -182,6 +185,48 @@ class TestConfigCoercion:
             cfg = write_cfg(tmp_path, {**CESARO_CFG, **block})
             assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
             assert "terraspec: error: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,block",
+        [
+            ("resolvent-verify", lambda x: {"resolvent_verify": {"lambda": 2.0, "n": 10, "tol": x}}),
+            ("product-band", lambda x: {"product_band": {"lambda": 2.0, "exponent": x}}),
+            ("ideal-qnorm", lambda x: {"ideal_qnorm": {"snumbers": [1.0, x]}}),
+        ],
+        ids=["tol", "exponent", "snumbers"],
+    )
+    def test_non_finite_floats(self, tmp_path, capsys, command, block, bad):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, **block(bad)})
+        assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [True, 20.9, "20"], ids=["bool", "fraction", "string"])
+    @pytest.mark.parametrize(
+        "command,block",
+        [
+            ("classify", lambda v: {"n_max": v}),
+            ("resolvent-verify", lambda v: {"resolvent_verify": {"lambda": 2.0, "n": v}}),
+            ("ideal-qnorm", lambda v: {"ideal_qnorm": {"section_n": v}}),
+            ("ideal-axioms", lambda v: {"ideal_axioms": {"trials": v}}),
+            ("ideal-axioms", lambda v: {"ideal_axioms": {"dim": v}}),
+            ("product-band", lambda v: {"product_band": {"lambda": 2.0, "n_range": [v, 256]}}),
+            ("spectrum-map", lambda v: {"spectrum_map": {"grid": {"re_range": [0, 1], "im_range": [0, 1],
+                                                                  "resolution": v}}}),
+        ],
+        ids=["n_max", "n", "section_n", "trials", "dim", "n_range", "resolution"],
+    )
+    def test_integer_fields(self, tmp_path, capsys, command, block, bad):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, **block(bad)})
+        assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "n_max": 2000.0})
+        out = tmp_path / "report.json"
+        assert run(["classify", "--config", cfg, "--out", out]) == 0
+        assert json.loads(out.read_text())["result"]["criterion_samples"][-1][0] == 2000
 
 
 class TestResolventVerify:

@@ -18,7 +18,7 @@ from terraspec.ideals import (
     stype_membership,
 )
 from terraspec.numerics import TriState
-from terraspec.sequences import cesaro_scaled, constant, geometric, power_weight, table
+from terraspec.sequences import cesaro_scaled, constant, custom, geometric, power_weight, table
 from terraspec.terraced import build_section
 
 CESARO = cesaro_scaled(1.0)
@@ -252,3 +252,15 @@ class TestChiSpaceMembership:
 
     def test_decaying_spec_member(self):
         assert chi_space_membership(power_weight(2.0), CESARO, UNIT) is TriState.YES
+
+    @pytest.mark.parametrize(
+        "v,expected",
+        [
+            pytest.param(custom(lambda k: 1.0 / k**2), TriState.YES, id="custom-inverse-square"),
+            pytest.param(custom(lambda k: 1.0), TriState.NO, id="custom-ones"),
+            pytest.param(table([1.0 / k for k in range(1, 4097)]), TriState.YES, id="table-harmonic"),
+        ],
+    )
+    def test_classless_spec_probes_prefix_sums(self, v, expected):
+        # no growth class: the verdict comes from prefix sums at dyadic probes
+        assert chi_space_membership(v, CESARO, UNIT) is expected

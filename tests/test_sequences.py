@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +74,31 @@ class TestMakeFamily:
         with pytest.raises(TerraspecError) as exc:
             bad()
         assert exc.value.code == "invalid-family-param"
+
+
+    @pytest.mark.parametrize(
+        "value,stored",
+        [
+            (0.5, 0.5),
+            (True, 1.0),
+            (3, 3.0),
+            (np.float64(0.25), 0.25),
+            (Fraction(1, 4), 0.25),
+            ("1", None),
+            (math.nan, None),
+            (math.inf, None),
+            (-0.0, None),
+        ],
+        ids=["float", "bool", "int", "float64", "fraction", "string", "nan", "inf", "negative-zero"],
+    )
+    def test_table_entry_types(self, value, stored):
+        if stored is None:
+            with pytest.raises(TerraspecError) as exc:
+                table([1.0, value])
+            assert exc.value.code == "invalid-family-param"
+        else:
+            tab = table([1.0, value]).table
+            assert tab == (1.0, stored) and type(tab[1]) is float
 
 
 class TestEval:
@@ -281,3 +307,13 @@ def test_family_table_is_bit_exact(spec, scaled, log_value, values, scaled_value
         factors = np.linspace(0.1, 9.0, N)
         assert np.array_equal(spec.scaled_values(factors), scaled_values(factors))
     assert spec.asym == asym
+
+
+@pytest.mark.parametrize("spec", [row[0] for row in FAMILY_REFERENCE], ids=[row[0].family for row in FAMILY_REFERENCE])
+def test_log_values_match_log_value(spec):
+    # np.log and math.log may differ by 1 ulp; a parameter times log n (or
+    # minus log n) can carry that to 2 ulps of the result
+    depth = len(_TABLE) if spec.family == "table" else 20000
+    vec = spec.log_values(depth)
+    ref = np.array([spec.log_value(n) for n in range(1, depth + 1)])
+    assert np.all(np.abs(vec - ref) <= 2 * np.spacing(np.maximum(np.abs(ref), 1.0)))

@@ -6,8 +6,21 @@ import pytest
 from terraspec.asymptotics import Limit, limit_class
 from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
-from terraspec.sequences import cesaro_scaled, constant, geometric, log_reciprocal, p_cesaro, table
+from terraspec.numerics import dyadic_probes
+from terraspec.sequences import (
+    SequenceSpec,
+    cesaro_scaled,
+    constant,
+    custom,
+    geometric,
+    log_reciprocal,
+    p_cesaro,
+    power_weight,
+    table,
+)
 from terraspec.terraced import (
+    DENSE_SAMPLE_LIMIT,
+    _criterion_scan,
     apply,
     build_section,
     classify_boundedness,
@@ -107,6 +120,127 @@ class TestCriterionSequence:
         tail = dict(samples)
         c = tail[4096]
         assert c == pytest.approx(2.0 / math.log(4097.0), rel=1e-9)
+
+
+def _kahan_scan(a, r, s, n_max):
+    """The per-n criterion scan with a Kahan running sum: the reference oracle.
+
+    Same contract as ``_criterion_scan``: (samples, probe_values, sup, truncated).
+    """
+    rv = r.values(n_max)
+    sv = s.values(n_max)
+    probes = set(dyadic_probes(1, n_max))
+    samples, probe_vals = [], {}
+    sup = 0.0
+    truncated = False
+    total = comp = 0.0
+    log_mode = False
+    log_total = -math.inf
+    for n in range(1, n_max + 1):
+        if not log_mode:
+            rn = rv[n - 1]
+            term = 1.0 / rn if rn > 0.0 else math.inf
+            if not math.isfinite(term) or total + term > 1e300:
+                log_mode = True
+                log_total = math.log(total) if total > 0.0 else -math.inf
+            else:
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+        if not log_mode:
+            c = sv[n - 1] * a.scaled(n, total)
+        else:
+            log_total = np.logaddexp(log_total, -r.log_value(n))
+            log_c = log_total + s.log_value(n) + a.log_value(n)
+            if log_c > 709.0:
+                truncated = True
+                break
+            c = math.exp(log_c)
+        if c > sup:
+            sup = c
+        if n <= min(n_max, DENSE_SAMPLE_LIMIT) or n in probes:
+            samples.append((n, c))
+        if n in probes:
+            probe_vals[n] = c
+    return samples, probe_vals, sup, truncated
+
+
+def _close(x, ref, ulps=4):
+    return (math.isnan(x) and math.isnan(ref)) or abs(x - ref) <= ulps * np.spacing(abs(ref))
+
+
+# every family pair of the benchmark's scan workload, with fixed parameters:
+# the geometric pairs sum 1/r_k past 1e300 and finish in the log-space tail,
+# and "log_geo_higher" grows past exp(709) there and is truncated
+_SCAN_MIXES = {
+    "cesaro_const": (cesaro_scaled(1.7), constant(0.8), constant(1.3)),
+    "cesaro_power": (cesaro_scaled(2.2), constant(1.1), power_weight(0.6)),
+    "p_cesaro_unbounded": (p_cesaro(0.7), constant(1.5), constant(0.6)),
+    "p_cesaro_bounded": (p_cesaro(1.0), constant(0.9), constant(1.2)),
+    "p_cesaro_compact": (p_cesaro(1.6), constant(0.7), constant(1.8)),
+    "power_pair_unbounded": (power_weight(25 / 64 + 0.75), power_weight(25 / 64), constant(1.2)),
+    "power_pair_bounded": (power_weight(1 + 40 / 64), power_weight(40 / 64), constant(0.7)),
+    "power_pair_compact": (power_weight(1.25 + 10 / 64), power_weight(10 / 64), constant(1.9)),
+    "table_p1": (table([1.0 / k for k in range(1, 6001)]), constant(1.0), constant(1.0)),
+    "table_p1.5": (table([1.0 / k**1.5 for k in range(1, 6001)]), constant(1.0), constant(1.0)),
+    "log_geo_lower": (log_reciprocal(), geometric(0.6), geometric(0.54)),
+    "log_geo_equal": (log_reciprocal(), geometric(0.45), geometric(0.45)),
+    "log_geo_higher": (log_reciprocal(), geometric(0.5), geometric(0.6)),
+    "custom_cesaro": (custom(lambda k: 1.3 / k), constant(0.9), constant(1.4)),
+    "custom_power": (custom(lambda k: 1.0 / float(k) ** 1.4), constant(1.6), constant(0.8)),
+    "custom_rising_s": (cesaro_scaled(1.2), constant(0.7), custom(lambda k: 1.5 * k / (k + 0.8))),
+}
+
+
+class TestCriterionScanAgainstKahanLoop:
+    @pytest.mark.parametrize("mix", sorted(_SCAN_MIXES))
+    def test_scan_workload_mixes(self, mix):
+        a, r, s = _SCAN_MIXES[mix]
+        samples, probes, sup, truncated = _criterion_scan(a, r, s, 6000)
+        ref_samples, ref_probes, ref_sup, ref_truncated = _kahan_scan(a, r, s, 6000)
+        assert truncated == ref_truncated == (mix == "log_geo_higher")
+        assert [n for n, _ in samples] == [n for n, _ in ref_samples]
+        assert list(probes) == list(ref_probes)
+        assert all(_close(c, ref) for (_, c), (_, ref) in zip(samples, ref_samples))
+        assert all(_close(probes[n], ref_probes[n]) for n in probes)
+        assert _close(sup, ref_sup)
+
+    def test_short_table_fails_where_the_loop_does(self):
+        a, r, s = table([1.0 / k for k in range(1, 301)]), constant(1.0), constant(1.0)
+        with pytest.raises(TerraspecError) as ref:
+            _kahan_scan(a, r, s, 1000)
+        with pytest.raises(TerraspecError) as exc:
+            _criterion_scan(a, r, s, 1000)
+        assert (exc.value.code, str(exc.value)) == (ref.value.code, str(ref.value))
+
+    def test_short_table_truncated_before_its_end(self):
+        # c_n grows like 1.8**n in the log tail and passes exp(709) near n = 1200
+        a, r, s = table([1.0] * 2000), geometric(0.5), geometric(0.9)
+        samples, _, _, truncated = _criterion_scan(a, r, s, 8192)
+        ref_samples, _, _, ref_truncated = _kahan_scan(a, r, s, 8192)
+        assert truncated and ref_truncated
+        assert [n for n, _ in samples] == [n for n, _ in ref_samples]
+
+    def test_nan_is_never_the_sup(self):
+        a = custom(lambda k: math.nan if k == 3 else 1.0 / k)
+        samples, _, sup, _ = _criterion_scan(a, constant(1.0), constant(1.0), 8)
+        assert math.isnan(dict(samples)[3])
+        assert sup == 1.0
+
+    def test_parametric_scan_makes_no_scalar_calls(self, monkeypatch):
+        calls = []
+        for name in ("scaled", "log_value", "value"):
+            orig = getattr(SequenceSpec, name)
+
+            def counted(self, *args, _orig=orig, _name=name):
+                calls.append(_name)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(SequenceSpec, name, counted)
+        for mix in ("cesaro_power", "power_pair_bounded", "log_geo_equal", "log_geo_higher"):
+            classify_boundedness(*_SCAN_MIXES[mix], 20000)
+        assert calls == []
 
 
 class TestClassifyBoundedness:
