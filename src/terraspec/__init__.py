@@ -50,6 +50,7 @@ from .spectrum import (
     adjoint_eigvector,
     adjoint_point_test,
     classify_point,
+    classify_points,
     disk_position,
     dist_to_S,
     eigenvector,

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -168,7 +167,7 @@ def _meta(digest: str, seed: int) -> dict:
     return {"version": __version__, "config_digest": digest, "seed": seed}
 
 
-def cmd_classify(cfg: dict, digest: str, out: str, jobs: int) -> int:
+def cmd_classify(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
     s = _sequence(cfg, "s", sequences.constant(1.0))
@@ -203,14 +202,7 @@ def _grid_from_cfg(block: dict) -> spectrum.GridSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def _classify_row(args):
-    im, res, a, s, chi, n_max = args
-    return [
-        spectrum.classify_point(complex(re, im), a, s, chi, n_max=n_max) for re in res
-    ]
-
-
-def cmd_spectrum_map(cfg: dict, digest: str, out: str, jobs: int) -> int:
+def cmd_spectrum_map(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     s = _sequence(cfg, "s", sequences.constant(1.0))
     chi = _chi(cfg, a)
@@ -218,14 +210,7 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str, jobs: int) -> int:
     if "grid" not in block:
         raise ConfigError("spectrum-map needs spectrum_map.grid")
     grid = _grid_from_cfg(block["grid"])
-    n_max = _n_max(cfg)
-    if jobs > 1:
-        tasks = [(im, grid.re_values(), a, s, chi, n_max) for im in grid.im_values()]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_classify_row, tasks))
-        points = [pt for row in rows for pt in row]
-    else:
-        points = spectrum.spectrum_grid(a, s, chi, grid, n_max=n_max)
+    points = spectrum.spectrum_grid(a, s, chi, grid, n_max=_n_max(cfg))
     if out.endswith(".json"):
         payload = _meta(digest, _effective_seed(cfg))
         payload["result"] = [
@@ -263,7 +248,7 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str, jobs: int) -> int:
     return EXIT_OK
 
 
-def cmd_point_test(cfg: dict, digest: str, out: str, jobs: int) -> int:
+def cmd_point_test(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     s = _sequence(cfg, "s", sequences.constant(1.0))
     chi = _chi(cfg, a)
@@ -272,13 +257,13 @@ def cmd_point_test(cfg: dict, digest: str, out: str, jobs: int) -> int:
     if not lambdas:
         raise ConfigError("point-test needs point_test.lambdas")
     n_max = _n_max(cfg)
+    lams = [_lambda(raw) for raw in lambdas]
+    points = spectrum.classify_points(lams, a, s, chi, n_max=n_max)
     results = []
     inconclusive = False
-    for raw in lambdas:
-        lam = _lambda(raw)
+    for lam, pt in zip(lams, points):
         point = spectrum.point_spectrum_test(lam, a, s, chi, n_max=n_max)
         adjoint = spectrum.adjoint_point_test(lam, a, s, chi, n_max=n_max)
-        label = spectrum.classify_point(lam, a, s, chi, n_max=n_max)
         inconclusive |= TriState.INCONCLUSIVE in (point.outcome, adjoint.outcome)
         results.append(
             {
@@ -287,7 +272,7 @@ def cmd_point_test(cfg: dict, digest: str, out: str, jobs: int) -> int:
                 "point_detail": point.detail,
                 "adjoint": adjoint.outcome,
                 "adjoint_detail": adjoint.detail,
-                "label": label.label.value,
+                "label": pt.label.value,
             }
         )
     payload = _meta(digest, _effective_seed(cfg))
@@ -296,7 +281,7 @@ def cmd_point_test(cfg: dict, digest: str, out: str, jobs: int) -> int:
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
-def cmd_resolvent_verify(cfg: dict, digest: str, out: str, jobs: int) -> int:
+def cmd_resolvent_verify(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     block = cfg.get("resolvent_verify", {})
     if "lambda" not in block or "n" not in block:
@@ -319,7 +304,7 @@ def cmd_resolvent_verify(cfg: dict, digest: str, out: str, jobs: int) -> int:
     return EXIT_OK if check.passed else EXIT_FAILED
 
 
-def cmd_product_band(cfg: dict, digest: str, out: str, jobs: int, csv_out: str | None = None) -> int:
+def cmd_product_band(cfg: dict, digest: str, out: str, csv_out: str | None = None) -> int:
     a = _sequence(cfg, "a")
     chi = _chi(cfg, a)
     block = cfg.get("product_band", {})
@@ -356,7 +341,7 @@ def cmd_product_band(cfg: dict, digest: str, out: str, jobs: int, csv_out: str |
     return EXIT_FAILED
 
 
-def cmd_ideal_qnorm(cfg: dict, digest: str, out: str, jobs: int) -> int:
+def cmd_ideal_qnorm(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
     block = cfg.get("ideal_qnorm", {})
@@ -388,7 +373,7 @@ def cmd_ideal_qnorm(cfg: dict, digest: str, out: str, jobs: int) -> int:
     return EXIT_INCONCLUSIVE if membership is TriState.INCONCLUSIVE else EXIT_OK
 
 
-def cmd_ideal_axioms(cfg: dict, digest: str, out: str, jobs: int) -> int:
+def cmd_ideal_axioms(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
     block = cfg.get("ideal_axioms", {})
@@ -430,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output report path")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size for grids")
         if name == "product-band":
             p.add_argument("--csv", default=None, help="also write (n, ratio) pairs as CSV")
     return parser
@@ -441,8 +425,8 @@ def main(argv=None) -> int:
     try:
         cfg, digest = _load_config(args.config)
         if args.command == "product-band":
-            return cmd_product_band(cfg, digest, args.out, args.jobs, args.csv)
-        return _COMMANDS[args.command](cfg, digest, args.out, args.jobs)
+            return cmd_product_band(cfg, digest, args.out, args.csv)
+        return _COMMANDS[args.command](cfg, digest, args.out)
     except (ConfigError, TerraspecError) as exc:
         print(f"terraspec: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -95,11 +95,13 @@ def classify_limit_trend(
     -> finite nonzero; all below 1 - flat_band -> zero; all above
     1 + flat_band -> infinite; anything mixed -> None (inconclusive).
     A final sample below ``zero_tol`` (relative to the peak) short-circuits
-    to zero.
+    to zero; an infinite (overflowed) final sample to infinite.
     """
     v = np.abs(np.asarray(values, dtype=float))
     if len(v) < 2:
         return None
+    if np.isinf(v[-1]):
+        return Limit.INFINITE
     peak = v.max()
     if peak == 0.0 or v[-1] <= zero_tol * max(peak, 1.0):
         return Limit.ZERO

@@ -103,6 +103,13 @@ def _table_depth(spec: SequenceSpec, n: int) -> int:
     return n
 
 
+def _geometric_scaled(spec, n, f):
+    try:
+        return spec.params[0] ** n * f
+    except OverflowError:  # ratio > 1: inf, as the array form gives
+        return math.inf * f
+
+
 def _geometric_vector(spec, n, f):
     # growing ratios overflow to inf at large n; that is the honest value
     with np.errstate(over="ignore"):
@@ -156,7 +163,7 @@ _FAMILIES = {
         ("ratio",),
         True,
         lambda p: AsymptoticClass(1.0, p[0], 0.0, 0.0),
-        lambda spec, n, f: spec.params[0] ** n * f,
+        _geometric_scaled,
         lambda spec, n: n * math.log(spec.params[0]),
         _geometric_vector,
         lambda spec, n: n * math.log(spec.params[0]),

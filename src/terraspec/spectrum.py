@@ -129,33 +129,36 @@ def dist_to_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> tuple[float
     The closure adds the accumulation point 0 (a_n -> 0 under the chi
     hypothesis); index 0 denotes that point, diagonal indices are 1-based.
     """
-    if n_max < 1:
-        raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
-    lam = finite_lambda(lam)
-    diffs = np.abs(lam - a.values(_clamp(a, n_max)))
-    k = int(np.argmin(diffs))
-    d_scan = float(diffs[k])
-    d_zero = abs(lam)
-    if d_zero < d_scan:
-        return d_zero, 0
-    return d_scan, k + 1
+    return _locate(finite_lambda(lam), *_diagonal(a, n_max, SNAP_TOL))[:2]
 
 
 def find_in_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N, snap_tol: float = SNAP_TOL) -> int | None:
     """First 1-based index with a_k = lambda (exact or within the snap band)."""
-    hits = _diagonal_hits(finite_lambda(lam), a.values(_clamp(a, n_max)), snap_tol)
-    return int(hits[0]) + 1 if len(hits) else None
+    return _locate(finite_lambda(lam), *_diagonal(a, n_max, snap_tol))[2]
+
+
+def _diagonal(a: SequenceSpec, n_max: int, snap_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a_1..a_{n_max} capped at a table's end, the snap band snap_tol * |a_k|)."""
+    if n_max < 1:
+        raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
+    vals = a.values(_clamp(a, n_max))
+    return vals, snap_tol * np.abs(vals)
+
+
+def _locate(lam: complex, vals: np.ndarray, band: np.ndarray) -> tuple[float, int, int | None]:
+    """dist_to_S's pair and the first 1-based k with |lambda - a_k| <= band[k-1], in one pass."""
+    diffs = np.abs(lam - vals)
+    k = int(np.argmin(diffs))
+    h = int(np.argmax(diffs <= band))
+    hit = h + 1 if diffs[h] <= band[h] else None
+    if abs(lam) < diffs[k]:
+        return abs(lam), 0, hit
+    return float(diffs[k]), k + 1, hit
 
 
 def _diagonal_hits(lam: complex, vals: np.ndarray, snap_tol: float) -> np.ndarray:
     """0-based indices k with lambda = vals[k] within the relative snap band."""
     return np.flatnonzero(np.abs(lam - vals) <= snap_tol * np.abs(vals))
-
-
-def _weight_bounded(s: SequenceSpec) -> bool:
-    if s.asym is not None:
-        return limit_class(s.asym) is not Limit.INFINITE
-    return verify_weight(s, _clamp(s, 1024)).bounded
 
 
 #: detail of the numeric eigen-limit probe, per outcome
@@ -182,11 +185,15 @@ def point_spectrum_test(
     growth classes when available, else by dyadic probes.
     """
     lam = finite_lambda(lam)
-    idx = find_in_S(lam, a, n_max, snap_tol)
+    return _point_test_at(lam, find_in_S(lam, a, n_max, snap_tol), a, s, chi, n_max)
+
+
+def _point_test_at(lam, idx, a, s, chi, n_max) -> ProbeResult:
+    """point_spectrum_test once find_in_S has returned ``idx``."""
     if idx is None:
         return ProbeResult(TriState.NO, "lambda not in S, kernel is trivial")
     ac = alpha(lam) * chi
-    if lam.imag == 0.0 and lam.real > chi and _weight_bounded(s):
+    if lam.imag == 0.0 and lam.real > chi and verify_weight(s, _clamp(s, 1024)).bounded:
         return ProbeResult(TriState.YES, f"lambda = a_{idx} > chi, eigen-limit vanishes")
     if a.asym is not None and s.asym is not None:
         cls = mul(mul(a.asym, s.asym), AsymptoticClass(1.0, 1.0, ac, 0.0))
@@ -195,7 +202,8 @@ def point_spectrum_test(
     depth = _clamp(s, _clamp(a, n_max))
     probes = dyadic_probes(min(16, depth), depth)
     logs = [a.log_value(n) + s.log_value(n) + ac * math.log(n) for n in probes]
-    outcome = vanishes(classify_limit_trend(np.exp(np.array(logs) - logs[0])))
+    with np.errstate(over="ignore"):  # an overflow to inf reads as growth
+        outcome = vanishes(classify_limit_trend(np.exp(np.array(logs) - logs[0])))
     return ProbeResult(outcome, _PROBE_DETAIL[outcome])
 
 
@@ -223,7 +231,11 @@ def adjoint_point_test(
     lam = finite_lambda(lam)
     if lam == 0:
         return ProbeResult(TriState.NO, "0 is never an adjoint eigenvalue")
-    idx = find_in_S(lam, a, n_max, snap_tol)
+    return _adjoint_test_at(lam, find_in_S(lam, a, n_max, snap_tol), s, chi, n_max, snap_tol)
+
+
+def _adjoint_test_at(lam, idx, s, chi, n_max, snap_tol) -> ProbeResult:
+    """adjoint_point_test for lambda != 0 once find_in_S has returned ``idx``."""
     if idx is not None:
         return ProbeResult(TriState.YES, f"lambda = a_{idx}, adjoint eigenvector truncates")
     if abs(lam) <= snap_tol:
@@ -387,71 +399,74 @@ def classify_point(
     n_max: int = SCAN_N,
     snap_tol: float = SNAP_TOL,
 ) -> SpectralPoint:
-    """Full decision tree for one complex point.
+    """Full decision tree for one complex point (see classify_points)."""
+    return classify_points([lam], a, s, chi, n_max=n_max, snap_tol=snap_tol)[0]
+
+
+def classify_points(
+    lams: list[complex],
+    a: SequenceSpec,
+    s: SequenceSpec,
+    chi: float,
+    *,
+    n_max: int = SCAN_N,
+    snap_tol: float = SNAP_TOL,
+) -> list[SpectralPoint]:
+    """Full decision tree for each point of ``lams``; the weight and S scans run once.
 
     Requires a bounded weight; a non-decreasing weight suppresses the
     exterior-is-resolvent and interior-candidate rules (their hypothesis
     fails) and those points degrade to boundary_unknown.
     """
-    lam = finite_lambda(lam)
-    if not _weight_bounded(s):
+    lams = [finite_lambda(lam) for lam in lams]
+    if not verify_weight(s, _clamp(s, 1024)).bounded:
         raise TerraspecError("weight-not-bounded", "spectral classification needs a bounded weight")
     s_decreasing = verify_weight(s, _clamp(s, min(n_max, 4096))).decreasing
-    dist, nearest = dist_to_S(lam, a, n_max)
-    idx = find_in_S(lam, a, n_max, snap_tol)
-    in_s = idx is not None
+    vals, band = _diagonal(a, n_max, snap_tol)
+    return [_classify(lam, *_locate(lam, vals, band), a, s, chi, s_decreasing, n_max, snap_tol)
+            for lam in lams]
 
+
+def _classify(lam, dist, nearest, idx, a, s, chi, s_decreasing, n_max, snap_tol) -> SpectralPoint:
+    """The decision tree for one point, given its _locate result and the weight flag."""
     if lam == 0:
-        ev = Evidence(
-            alpha=None,
-            alpha_chi=None,
-            disk_position="boundary",
-            at_disk_zero=True,
-            in_S=False,
-            s_index=None,
-            dist_to_S=dist,
-            nearest_index=nearest,
-            a1=TriState.NO,
-            a2=TriState.NO,
-            limit_diag="lambda = 0: kernel trivial",
-            series_diag="lambda = 0: excluded from the adjoint series set",
-        )
-        return SpectralPoint(lam, Label.CONTINUOUS_CANDIDATE, ev)
-
-    al = alpha(lam)
-    ac = al * chi
-    pos = disk_position(lam, chi)
-
-    if in_s:
-        a1_res = point_spectrum_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
-        a2_res = ProbeResult(TriState.NO, "lambda in S: excluded from the adjoint series set")
-    else:
-        a1_res = ProbeResult(TriState.NO, "lambda not in S")
-        a2_res = adjoint_point_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
-
-    if a1_res.outcome is TriState.YES:
-        label = Label.POINT
-    elif in_s:
-        label = Label.RESIDUAL if a1_res.outcome is TriState.NO else Label.BOUNDARY_UNKNOWN
-    elif a2_res.outcome is TriState.YES:
-        label = Label.RESIDUAL
-    elif a2_res.outcome is TriState.INCONCLUSIVE:
-        label = Label.BOUNDARY_UNKNOWN
-    elif not s_decreasing:
-        label = Label.BOUNDARY_UNKNOWN
-    elif pos == "exterior":
-        label = Label.RESOLVENT
-    elif pos == "interior":
+        # 0 is never reported in S, even where some a_k underflowed to 0.0
+        al = ac = idx = None
+        pos = "boundary"
+        a1_res = ProbeResult(TriState.NO, "lambda = 0: kernel trivial")
+        a2_res = ProbeResult(TriState.NO, "lambda = 0: excluded from the adjoint series set")
         label = Label.CONTINUOUS_CANDIDATE
     else:
-        label = Label.BOUNDARY_UNKNOWN
+        al = alpha(lam)
+        ac = al * chi
+        pos = disk_position(lam, chi)
+        if idx is not None:
+            a1_res = _point_test_at(lam, idx, a, s, chi, n_max)
+            a2_res = ProbeResult(TriState.NO, "lambda in S: excluded from the adjoint series set")
+        else:
+            a1_res = ProbeResult(TriState.NO, "lambda not in S")
+            a2_res = _adjoint_test_at(lam, None, s, chi, n_max, snap_tol)
+        if a1_res.outcome is TriState.YES:
+            label = Label.POINT
+        elif idx is not None:
+            label = Label.RESIDUAL if a1_res.outcome is TriState.NO else Label.BOUNDARY_UNKNOWN
+        elif a2_res.outcome is TriState.YES:
+            label = Label.RESIDUAL
+        elif a2_res.outcome is TriState.INCONCLUSIVE or not s_decreasing:
+            label = Label.BOUNDARY_UNKNOWN
+        elif pos == "exterior":
+            label = Label.RESOLVENT
+        elif pos == "interior":
+            label = Label.CONTINUOUS_CANDIDATE
+        else:
+            label = Label.BOUNDARY_UNKNOWN
 
     ev = Evidence(
         alpha=al,
         alpha_chi=ac,
         disk_position=pos,
-        at_disk_zero=False,
-        in_S=in_s,
+        at_disk_zero=lam == 0,
+        in_S=idx is not None,
         s_index=idx,
         dist_to_S=dist,
         nearest_index=nearest,
@@ -489,12 +504,9 @@ def spectrum_grid(
     n_max: int = SCAN_N,
     snap_tol: float = SNAP_TOL,
 ) -> list[SpectralPoint]:
-    """classify_point over the grid, row-major (im outer, re inner)."""
-    out = []
-    for im in grid.im_values():
-        for re in grid.re_values():
-            out.append(classify_point(complex(re, im), a, s, chi, n_max=n_max, snap_tol=snap_tol))
-    return out
+    """classify_points over the grid, row-major (im outer, re inner)."""
+    lams = [complex(re, im) for im in grid.im_values() for re in grid.re_values()]
+    return classify_points(lams, a, s, chi, n_max=n_max, snap_tol=snap_tol)
 
 
 @dataclass(frozen=True)

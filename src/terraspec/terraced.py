@@ -90,6 +90,8 @@ def _criterion_scan(a: SequenceSpec, r: SequenceSpec, s: SequenceSpec, n_max: in
     stops before the first c_n above exp(709) and reports it truncated.
     A NaN c_n is sampled but never taken as the supremum.
     """
+    if n_max < 1:
+        raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
     rv = r.values(n_max)
     sv = s.values(n_max)
     probes = dyadic_probes(1, n_max)
@@ -125,8 +127,6 @@ def criterion_sequence(
     a: SequenceSpec, r: SequenceSpec, s: SequenceSpec, n_max: int
 ) -> list[tuple[int, float]]:
     """Samples (n, c_n): every n up to 10^3, dyadic n beyond."""
-    if n_max < 1:
-        raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
     samples, _, _, _ = _criterion_scan(a, r, s, n_max)
     return samples
 

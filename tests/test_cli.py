@@ -129,13 +129,12 @@ class TestSpectrumMap:
         cfg = self.cfg(tmp_path, {"re_range": [0, 1], "im_range": [0, 1], "resolution": 1})
         assert run(["spectrum-map", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
 
-    def test_jobs_flag_same_output(self, tmp_path):
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
         cfg = self.cfg(tmp_path, {"re_range": [-0.2, 1.2], "im_range": [-0.2, 0.2], "resolution": 5})
-        out1 = tmp_path / "serial.csv"
-        out2 = tmp_path / "parallel.csv"
-        assert run(["spectrum-map", "--config", cfg, "--out", out1]) == 0
-        assert run(["spectrum-map", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            run(["spectrum-map", "--config", cfg, "--out", tmp_path / "x.csv", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestPointTest:
@@ -155,6 +154,13 @@ class TestPointTest:
         assert [r["label"] for r in results] == ["residual", "resolvent", "residual"]
         assert results[0]["adjoint"] == "yes"
         assert results[1]["adjoint"] == "no"
+
+    def test_malformed_lambda_in_the_middle(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "point_test": {"lambdas": [0.4, "x", 2.0]}})
+        out = tmp_path / "points.json"
+        assert run(["point-test", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err == "terraspec: error: lambda must be a number or [re, im], got 'x'\n"
+        assert not out.exists()
 
 
 class TestConfigCoercion:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from terraspec.asymptotics import AsymptoticClass
 from terraspec.errors import TerraspecError
 from terraspec.ideals import (
+    IdealFlags,
     SNumberSequence,
     check_quasinorm_axioms,
     chi_space_membership,
@@ -152,6 +153,11 @@ class TestIdealPreconditions:
     def test_constant_pair_fails(self):
         flags = ideal_preconditions(UNIT, UNIT)
         assert flags.ideal_ok is TriState.NO
+
+    def test_overflowing_diagonal(self):
+        # 2**n overflows past n = 1023; the probes see inf, never an OverflowError
+        flags = ideal_preconditions(geometric(2.0), table([1.0] * 4096))
+        assert flags == IdealFlags(TriState.NO, TriState.NO, TriState.NO)
 
 
 class TestAxioms:

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from terraspec.numerics import compensated_cumsum, exact_prefix_sums
+from terraspec.asymptotics import Limit
+from terraspec.numerics import classify_limit_trend, compensated_cumsum, exact_prefix_sums
+
+
+def test_overflowed_trend_is_infinite():
+    # samples of 2**n at dyadic n overflow to inf; they used to read as "tends to 0"
+    assert classify_limit_trend([2.0**16, 2.0**256, math.inf, math.inf]) is Limit.INFINITE
+    assert classify_limit_trend([1.0, 0.5, 0.25, math.inf]) is Limit.INFINITE
 
 
 def _kahan_cumsum(values):

@@ -123,6 +123,12 @@ class TestEval:
         a = cesaro_scaled(1.0)
         assert all(a.scaled(n, float(n)) == 1.0 for n in range(1, 2000))
 
+    def test_growing_geometric_overflows_to_inf(self):
+        g = geometric(2.0)
+        assert g.value(2000) == math.inf == g.values(2000)[-1]
+        assert g.scaled(2000, 0.5) == math.inf
+        assert g.value(1000) == 2.0**1000 == g.values(1000)[-1]
+
     def test_log_value_matches(self):
         for spec in (cesaro_scaled(3.0), geometric(0.5), log_reciprocal(), constant(2.0)):
             assert spec.log_value(17) == pytest.approx(math.log(spec.value(17)), abs=1e-12)

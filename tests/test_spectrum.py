@@ -7,16 +7,24 @@ import scipy.linalg
 from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
 from terraspec.products import alpha, log_product, ratio_band
-from terraspec.sequences import cesaro_scaled, constant, power_weight, table
+from terraspec.sequences import cesaro_scaled, constant, custom, max_index, p_cesaro, power_weight, table
+from terraspec.sequences import verify_weight
 from terraspec.spectrum import (
+    SCAN_N,
+    SNAP_TOL,
+    Evidence,
     GridSpec,
     Label,
+    ProbeResult,
+    SpectralPoint,
     adjoint_eigvector,
     adjoint_point_test,
     classify_point,
+    classify_points,
     disk_position,
     dist_to_S,
     eigenvector,
+    find_in_S,
     point_spectrum_test,
     pseudospectrum_grid,
     resolvent_section,
@@ -66,6 +74,24 @@ class TestDistToS:
         assert idx == 3
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda n: dist_to_S(1.0, CESARO, n),
+        lambda n: find_in_S(1.0, CESARO, n),
+        lambda n: point_spectrum_test(1.0, CESARO, UNIT, 1.0, n_max=n),
+        lambda n: adjoint_point_test(0.4, CESARO, UNIT, 1.0, n_max=n),
+    ],
+    ids=["dist_to_S", "find_in_S", "point_spectrum_test", "adjoint_point_test"],
+)
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_empty_scan_depth_rejected(entry, n_max):
+    # lambda = a_1 used to come back "not in S" from find_in_S at n_max = 0
+    with pytest.raises(TerraspecError) as exc:
+        entry(n_max)
+    assert exc.value.code == "index-out-of-range"
+
+
 class TestPointSpectrumTest:
     def test_cesaro_on_plain_c0_is_empty(self):
         for k in range(1, 101):
@@ -83,6 +109,12 @@ class TestPointSpectrumTest:
 
     def test_off_diagonal_is_no(self):
         assert point_spectrum_test(0.42, CESARO, UNIT, 1.0).outcome is TriState.NO
+
+    def test_numeric_probe_overflow_is_growth(self):
+        # alpha*chi is about 2000 at a_2000, so n^(alpha chi) overflows: that is growth, not decay
+        a = custom(lambda n: 0.8 / n + 0.1 / n**2)
+        out = point_spectrum_test(a.value(2000), a, UNIT, 0.8)
+        assert out.outcome is TriState.NO
 
     def test_numeric_path_on_classless_table(self):
         a = table(tuple(1.0 / n for n in range(1, 65)))
@@ -350,6 +382,120 @@ def test_non_finite_lambda_rejected(entry, lam):
     with pytest.raises(TerraspecError) as exc:
         entry(lam)
     assert exc.value.code == "lambda-not-finite"
+
+
+def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N, snap_tol=SNAP_TOL):
+    """The per-point decision tree classify_points replaced, built from the public tests.
+
+    Only bounded weights are passed here, so the boundedness check is left out.
+    """
+    lam = complex(lam)
+    depth = min(n_max, 4096) if max_index(s) is None else min(n_max, 4096, max_index(s))
+    s_decreasing = verify_weight(s, depth).decreasing
+    dist, nearest = dist_to_S(lam, a, n_max)
+    idx = find_in_S(lam, a, n_max, snap_tol)
+    in_s = idx is not None
+    if lam == 0:
+        ev = Evidence(
+            None, None, "boundary", True, False, None, dist, nearest, TriState.NO, TriState.NO,
+            "lambda = 0: kernel trivial", "lambda = 0: excluded from the adjoint series set",
+        )
+        return SpectralPoint(lam, Label.CONTINUOUS_CANDIDATE, ev)
+    al = alpha(lam)
+    pos = disk_position(lam, chi)
+    if in_s:
+        a1 = point_spectrum_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
+        a2 = ProbeResult(TriState.NO, "lambda in S: excluded from the adjoint series set")
+    else:
+        a1 = ProbeResult(TriState.NO, "lambda not in S")
+        a2 = adjoint_point_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
+    if a1.outcome is TriState.YES:
+        label = Label.POINT
+    elif in_s:
+        label = Label.RESIDUAL if a1.outcome is TriState.NO else Label.BOUNDARY_UNKNOWN
+    elif a2.outcome is TriState.YES:
+        label = Label.RESIDUAL
+    elif a2.outcome is TriState.INCONCLUSIVE or not s_decreasing:
+        label = Label.BOUNDARY_UNKNOWN
+    elif pos == "exterior":
+        label = Label.RESOLVENT
+    elif pos == "interior":
+        label = Label.CONTINUOUS_CANDIDATE
+    else:
+        label = Label.BOUNDARY_UNKNOWN
+    ev = Evidence(
+        al, al * chi, pos, False, in_s, idx, dist, nearest, a1.outcome, a2.outcome, a1.detail, a2.detail,
+    )
+    return SpectralPoint(lam, label, ev)
+
+
+# a_5 repeats a_4, so the first snap hit is not the only one
+_TABLE_A = table([1.0 / n if n != 5 else 0.25 for n in range(1, 65)])
+DIAGONALS = {
+    "cesaro_0.7": (cesaro_scaled(0.7), 0.7),
+    "p_cesaro_0.9": (p_cesaro(0.9), 1.0),
+    "table": (_TABLE_A, 1.0),
+    "custom": (custom(lambda n: 0.8 / n + 0.1 / n**2), 0.8),
+}
+WEIGHTS = {"constant": UNIT, "power_1.5": power_weight(1.5), "cesaro": cesaro_scaled(1.0)}
+
+
+def _probe_lambdas(a, chi, depth):
+    """The chi-scaled 9 x 5 grid (with 0) plus diagonal, snap-band and off-band points."""
+    grid = GridSpec((-0.5 * chi, 1.5 * chi), (-0.5 * chi, 0.5 * chi), (9, 5))
+    lams = [complex(re, im) for im in grid.im_values() for re in grid.re_values()]
+    for k in (1, 2, 3, 4, 5, 7, 40, depth):
+        v = a.value(k)
+        lams += [v, v * (1 + 5e-14), v * (1 - 5e-14), v * (1 + 5e-13), complex(v, 1e-15), complex(v, 1e-3)]
+    return lams
+
+
+class TestClassifyPointsAgainstReference:
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    @pytest.mark.parametrize("diagonal", DIAGONALS)
+    def test_same_label_and_evidence(self, diagonal, weight):
+        a, chi = DIAGONALS[diagonal]
+        s = WEIGHTS[weight]
+        lams = _probe_lambdas(a, chi, max_index(a) or 2000)
+        got = classify_points(lams, a, s, chi)
+        want = [_reference_classify_point(lam, a, s, chi) for lam in lams]
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+        assert any(p.evidence.in_S for p in got) and any(p.lam == 0 for p in got)
+
+    def test_beyond_the_scan_depth(self):
+        lams = _probe_lambdas(CESARO, 1.0, 600)
+        got = classify_points(lams, CESARO, power_weight(1.5), 1.0, n_max=500)
+        want = [_reference_classify_point(lam, CESARO, power_weight(1.5), 1.0, n_max=500) for lam in lams]
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+
+    def test_non_decreasing_weight(self):
+        s = table([0.5, 1.0, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8])
+        lams = _probe_lambdas(CESARO, 1.0, 8)
+        got = classify_points(lams, CESARO, s, 1.0, n_max=8)
+        want = [_reference_classify_point(lam, CESARO, s, 1.0, n_max=8) for lam in lams]
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+        assert Label.BOUNDARY_UNKNOWN in {p.label for p in got}
+
+    def test_single_point_is_classify_point(self):
+        lams = _probe_lambdas(CESARO, 1.0, 100)
+        assert classify_points(lams, CESARO, UNIT, 1.0) == [classify_point(lam, CESARO, UNIT, 1.0) for lam in lams]
+
+    @pytest.mark.parametrize(
+        "lams,code",
+        [
+            ([0.4, 1e-14], "closure-boundary-unsupported"),
+            ([0.4, math.nan], "lambda-not-finite"),
+        ],
+    )
+    def test_one_bad_point_fails_the_list(self, lams, code):
+        with pytest.raises(TerraspecError) as exc:
+            classify_points(lams, CESARO, UNIT, 1.0)
+        assert exc.value.code == code
+
+    def test_unbounded_weight_rejected(self):
+        with pytest.raises(TerraspecError) as exc:
+            classify_points([0.4], CESARO, power_weight(-1.0), 1.0)
+        assert exc.value.code == "weight-not-bounded"
 
 
 class TestSpectrumGrid:

@@ -244,6 +244,13 @@ class TestCriterionScanAgainstKahanLoop:
 
 
 class TestClassifyBoundedness:
+    @pytest.mark.parametrize("entry", [classify_boundedness, criterion_sequence])
+    @pytest.mark.parametrize("n_max", [0, -1])
+    def test_empty_scan_depth_rejected(self, entry, n_max):
+        with pytest.raises(TerraspecError) as exc:
+            entry(cesaro_scaled(1.0), constant(1.0), constant(1.0), n_max)
+        assert exc.value.code == "index-out-of-range"
+
     def test_cesaro_bounded_not_compact(self):
         report = classify_boundedness(cesaro_scaled(1.0), constant(1.0), constant(1.0))
         assert report.bounded is TriState.YES
