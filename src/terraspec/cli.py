@@ -189,8 +189,8 @@ def cmd_classify(cfg: dict, digest: str, out: str) -> int:
 
 def _grid_from_cfg(block: dict) -> spectrum.GridSpec:
     try:
-        re_range = tuple(float(v) for v in block["re_range"])
-        im_range = tuple(float(v) for v in block["im_range"])
+        re_range = tuple(_finite_float(v, "spectrum_map.grid.re_range") for v in block["re_range"])
+        im_range = tuple(_finite_float(v, "spectrum_map.grid.im_range") for v in block["im_range"])
         res = block["resolution"]
         res = res if isinstance(res, (list, tuple)) else (res, res)
         res = (_integer(res[0], "grid resolution"), _integer(res[1], "grid resolution"))

@@ -41,6 +41,17 @@ def finite_lambda(lam) -> complex:
     return lam
 
 
+def divisor(lam: complex) -> float | complex:
+    """lam as a float when it is real, so that the factors 1 - a_k/lam stay real."""
+    return lam.real if lam.imag == 0.0 else lam
+
+
+def check_chi(chi: float) -> None:
+    """Raise ``invalid-chi`` unless chi = lim n * a_n is positive."""
+    if not chi > 0.0:
+        raise TerraspecError("invalid-chi", f"chi must be positive, got {chi}")
+
+
 def compensated_cumsum(values) -> np.ndarray:
     """Running sums with every rounding error added back (prefix form of Sum2).
 
@@ -118,32 +129,18 @@ def classify_limit_trend(
     return None
 
 
-def signed_log_cumprod(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative products of real factors as (sign, log magnitude) pairs.
+def log_cumprod(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative products of factors as (phase, log magnitude) pairs.
 
-    Returns (signs, logmags) with signs in {-1, 0, +1}; after an exactly
-    zero factor the sign is 0 and the log magnitude -inf.  The k-th
-    cumulative product is signs[k] * exp(logmags[k]).
+    The k-th cumulative product is phase[k] * exp(logmag[k]).  For real
+    factors the phase is exactly -1.0 or +1.0; for complex factors it is the
+    unit phase of the accumulated principal arguments (not reduced mod
+    2*pi).  From an exactly zero factor on, the phase is 0 and the log
+    magnitude -inf.
     """
-    f = np.asarray(factors, dtype=float)
-    signs = np.cumprod(np.sign(f)).astype(int)
+    f = np.asarray(factors)
     with np.errstate(divide="ignore"):
-        logmags = np.cumsum(np.log(np.abs(f)))
-    return signs, logmags
-
-
-def complex_log_cumprod(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Cumulative products of complex factors in (log|.|, accumulated arg) form.
-
-    The argument is the factor-by-factor sum of principal arguments (not
-    reduced mod 2*pi).  ``zero_from`` is the 0-based index of the first
-    exactly-zero factor, or None.
-    """
-    f = np.asarray(factors, dtype=complex)
-    mags = np.abs(f)
-    zero_idx = np.flatnonzero(mags == 0.0)
-    zero_from = int(zero_idx[0]) if len(zero_idx) else None
-    with np.errstate(divide="ignore"):
-        logmags = np.cumsum(np.log(mags))
-    args = np.cumsum(np.angle(f))
-    return logmags, args, zero_from
+        logmag = np.cumsum(np.log(np.abs(f)))
+    phase = np.exp(1j * np.cumsum(np.angle(f))) if np.iscomplexobj(f) else np.cumprod(np.sign(f))
+    phase[np.isneginf(logmag)] = 0.0
+    return phase, logmag

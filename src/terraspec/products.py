@@ -3,10 +3,15 @@
 For lambda off the diagonal set, |prod_{k=m+1}^n (1 - a_k/lambda)| decays
 like n**(-alpha*chi) with alpha = Re(1/lambda); eigenvector entries and
 resolvent columns inherit that rate.  The magnitudes span hundreds of
-orders, so everything is accumulated as log magnitude plus argument, with
-exactly-rounded (fsum) summation.  ``ratio_band`` is the numeric check of
-the equivalence: it multiplies the product back by n**(alpha*chi) and
-verifies the result stays in a bounded band with no log-log drift.
+orders, so products are kept as log magnitude plus argument.
+``log_product`` sums the logs of its factors exactly rounded (fsum), and
+``ratio_band`` does the same per dyadic segment; the running products
+behind eigenvectors and resolvents come from ``numerics.log_cumprod``, a
+plain cumulative sum.  A real lambda divides as a float, so real factors
+stay real and each negative one adds exactly pi to the argument.
+``ratio_band`` is the numeric check of the equivalence: it multiplies the
+product back by n**(alpha*chi) and verifies the result stays in a bounded
+band with no log-log drift.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TerraspecError
-from .numerics import dyadic_probes, finite_lambda
+from .numerics import check_chi, divisor, dyadic_probes, finite_lambda
 from .sequences import SequenceSpec
 
 #: relative tolerance for flagging a factor as numerically near-singular
@@ -62,26 +67,12 @@ def log_product(a: SequenceSpec, lam: complex, m: int, n: int) -> LogProduct:
     if lam == 0:
         raise TerraspecError("lambda-zero", "product factors are undefined at lambda = 0")
     vals = a.values(n)[m:n]
-    warnings: tuple[str, ...] = ()
+    f = 1.0 - vals / divisor(lam)
+    if np.any(f == 0.0):
+        return LogProduct(-math.inf, 0.0, m, n, True)
     close = np.abs(lam - vals) <= NEAR_SINGULAR_RTOL * np.abs(vals)
-    if lam.imag == 0.0:
-        f = 1.0 - vals / lam.real
-        if np.any(f == 0.0):
-            return LogProduct(-math.inf, 0.0, m, n, True, warnings)
-        if np.any(close):
-            warnings = ("near-singular-factor",)
-        log_mag = math.fsum(np.log(np.abs(f)))
-        arg = float(np.count_nonzero(f < 0.0)) * math.pi
-        return LogProduct(log_mag, arg, m, n, False, warnings)
-    f = 1.0 - vals / lam
-    mags = np.abs(f)
-    if np.any(mags == 0.0):
-        return LogProduct(-math.inf, 0.0, m, n, True, warnings)
-    if np.any(close):
-        warnings = ("near-singular-factor",)
-    log_mag = math.fsum(np.log(mags))
-    arg = math.fsum(np.angle(f))
-    return LogProduct(log_mag, arg, m, n, False, warnings)
+    warnings = ("near-singular-factor",) if np.any(close) else ()
+    return LogProduct(math.fsum(np.log(np.abs(f))), math.fsum(np.angle(f)), m, n, False, warnings)
 
 
 @dataclass(frozen=True)
@@ -113,8 +104,7 @@ def ratio_band(
     n_lo, n_hi = n_range
     if not (1 <= n_lo < n_hi):
         raise TerraspecError("invalid-index-range", f"bad range {n_range}")
-    if not chi > 0.0:
-        raise TerraspecError("invalid-chi", f"chi must be positive, got {chi}")
+    check_chi(chi)
     lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("lambda-zero")
@@ -123,16 +113,13 @@ def ratio_band(
         k = int(np.argmin(np.abs(lam - vals))) + 1
         raise TerraspecError("lambda-in-S", f"lambda matches a_{k}")
     e = alpha(lam) * chi if exponent is None else float(exponent)
-    probes = dyadic_probes(n_lo, n_hi)
+    log_f = np.log(np.abs(1.0 - vals / divisor(lam)))
     ratios: list[tuple[int, float]] = []
     log_ratios: list[float] = []
     prev = 0
     log_p = 0.0
-    for n in probes:
-        seg = log_product(a, lam, prev, n)
-        if seg.exact_zero:
-            raise TerraspecError("lambda-in-S", f"product vanished between {prev} and {n}")
-        log_p += seg.log_magnitude
+    for n in dyadic_probes(n_lo, n_hi):
+        log_p += math.fsum(log_f[prev:n])
         prev = n
         lr = log_p + e * math.log(n)
         log_ratios.append(lr)

@@ -32,11 +32,11 @@ import scipy.linalg
 
 from .asymptotics import AsymptoticClass, Limit, Verdict, limit_class, mul, partial_sum, reciprocal
 from .errors import TerraspecError
-from .numerics import TriState, classify_limit_trend, complex_log_cumprod, dyadic_probes, finite_lambda
-from .numerics import signed_log_cumprod, vanishes
+from .numerics import TriState, check_chi, classify_limit_trend, divisor, dyadic_probes, finite_lambda
+from .numerics import log_cumprod, vanishes
 from .products import alpha
 from .sequences import SequenceSpec, max_index, verify_weight
-from .terraced import FiniteSection, _freeze, build_section
+from .terraced import FiniteSection, _freeze
 
 
 def _clamp(spec: SequenceSpec, n: int) -> int:
@@ -100,11 +100,13 @@ def disk_position(lam: complex, chi: float, rtol: float = 1e-12) -> str:
     1/chi test); any disagreement within tolerance collapses to boundary.
     lambda = 0 lies exactly on the circle and reports boundary.
     """
-    if not chi > 0.0:
-        raise TerraspecError("invalid-chi", f"chi must be positive, got {chi}")
+    check_chi(chi)
     lam = finite_lambda(lam)
-    if lam == 0:
-        return "boundary"
+    return "boundary" if lam == 0 else _disk_position(lam, chi, alpha(lam), rtol)
+
+
+def _disk_position(lam: complex, chi: float, al: float, rtol: float = 1e-12) -> str:
+    """disk_position of a nonzero lambda with alpha(lambda) = al."""
     radius = chi / 2.0
     d = abs(lam - radius)
     if abs(d - radius) <= rtol * radius:
@@ -113,7 +115,7 @@ def disk_position(lam: complex, chi: float, rtol: float = 1e-12) -> str:
         circle = "interior"
     else:
         circle = "exterior"
-    gap = alpha(lam) - 1.0 / chi
+    gap = al - 1.0 / chi
     if abs(gap) <= rtol / chi:
         halfplane = "boundary"
     elif gap > 0:
@@ -129,20 +131,20 @@ def dist_to_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> tuple[float
     The closure adds the accumulation point 0 (a_n -> 0 under the chi
     hypothesis); index 0 denotes that point, diagonal indices are 1-based.
     """
-    return _locate(finite_lambda(lam), *_diagonal(a, n_max, SNAP_TOL))[:2]
+    return _locate(finite_lambda(lam), *_diagonal(a, n_max))[:2]
 
 
-def find_in_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N, snap_tol: float = SNAP_TOL) -> int | None:
+def find_in_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> int | None:
     """First 1-based index with a_k = lambda (exact or within the snap band)."""
-    return _locate(finite_lambda(lam), *_diagonal(a, n_max, snap_tol))[2]
+    return _locate(finite_lambda(lam), *_diagonal(a, n_max))[2]
 
 
-def _diagonal(a: SequenceSpec, n_max: int, snap_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(a_1..a_{n_max} capped at a table's end, the snap band snap_tol * |a_k|)."""
+def _diagonal(a: SequenceSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_1..a_{n_max} capped at a table's end, the snap band SNAP_TOL * |a_k|)."""
     if n_max < 1:
         raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
     vals = a.values(_clamp(a, n_max))
-    return vals, snap_tol * np.abs(vals)
+    return vals, SNAP_TOL * np.abs(vals)
 
 
 def _locate(lam: complex, vals: np.ndarray, band: np.ndarray) -> tuple[float, int, int | None]:
@@ -156,9 +158,9 @@ def _locate(lam: complex, vals: np.ndarray, band: np.ndarray) -> tuple[float, in
     return float(diffs[k]), k + 1, hit
 
 
-def _diagonal_hits(lam: complex, vals: np.ndarray, snap_tol: float) -> np.ndarray:
+def _diagonal_hits(lam: complex, vals: np.ndarray) -> np.ndarray:
     """0-based indices k with lambda = vals[k] within the relative snap band."""
-    return np.flatnonzero(np.abs(lam - vals) <= snap_tol * np.abs(vals))
+    return np.flatnonzero(np.abs(lam - vals) <= SNAP_TOL * np.abs(vals))
 
 
 #: detail of the numeric eigen-limit probe, per outcome
@@ -176,7 +178,6 @@ def point_spectrum_test(
     chi: float,
     *,
     n_max: int = SCAN_N,
-    snap_tol: float = SNAP_TOL,
 ) -> ProbeResult:
     """Is lambda an eigenvalue: lambda in S and a_n s_n n**(alpha*chi) -> 0.
 
@@ -185,14 +186,14 @@ def point_spectrum_test(
     growth classes when available, else by dyadic probes.
     """
     lam = finite_lambda(lam)
-    return _point_test_at(lam, find_in_S(lam, a, n_max, snap_tol), a, s, chi, n_max)
-
-
-def _point_test_at(lam, idx, a, s, chi, n_max) -> ProbeResult:
-    """point_spectrum_test once find_in_S has returned ``idx``."""
+    idx = find_in_S(lam, a, n_max)
     if idx is None:
         return ProbeResult(TriState.NO, "lambda not in S, kernel is trivial")
-    ac = alpha(lam) * chi
+    return _point_test_at(lam, idx, a, s, chi, alpha(lam) * chi, n_max)
+
+
+def _point_test_at(lam, idx, a, s, chi, ac, n_max) -> ProbeResult:
+    """point_spectrum_test for lambda = a_idx, with ac = alpha(lambda) * chi."""
     if lam.imag == 0.0 and lam.real > chi and verify_weight(s, _clamp(s, 1024)).bounded:
         return ProbeResult(TriState.YES, f"lambda = a_{idx} > chi, eigen-limit vanishes")
     if a.asym is not None and s.asym is not None:
@@ -220,7 +221,6 @@ def adjoint_point_test(
     chi: float,
     *,
     n_max: int = SCAN_N,
-    snap_tol: float = SNAP_TOL,
 ) -> ProbeResult:
     """Adjoint eigenvalue test: S is always in; off the closure of S the
     criterion is convergence of sum 1/(s_n n**(alpha*chi)).
@@ -231,21 +231,20 @@ def adjoint_point_test(
     lam = finite_lambda(lam)
     if lam == 0:
         return ProbeResult(TriState.NO, "0 is never an adjoint eigenvalue")
-    return _adjoint_test_at(lam, find_in_S(lam, a, n_max, snap_tol), s, chi, n_max, snap_tol)
-
-
-def _adjoint_test_at(lam, idx, s, chi, n_max, snap_tol) -> ProbeResult:
-    """adjoint_point_test for lambda != 0 once find_in_S has returned ``idx``."""
+    idx = find_in_S(lam, a, n_max)
     if idx is not None:
         return ProbeResult(TriState.YES, f"lambda = a_{idx}, adjoint eigenvector truncates")
-    if abs(lam) <= snap_tol:
+    return _adjoint_test_at(lam, s, alpha(lam) * chi, disk_position(lam, chi), n_max)
+
+
+def _adjoint_test_at(lam, s, ac, pos, n_max) -> ProbeResult:
+    """adjoint_point_test off S u {0}, given ac = alpha(lambda) * chi and the disk position."""
+    if abs(lam) <= SNAP_TOL:
         raise TerraspecError(
             "closure-boundary-unsupported", "lambda sits at the accumulation point of S"
         )
-    pos = disk_position(lam, chi)
     if pos in ("exterior", "boundary"):
         return ProbeResult(TriState.NO, f"disk position {pos}: outside the open-disk bound")
-    ac = alpha(lam) * chi
     sum_cls = _adjoint_series_class(s, ac)
     if sum_cls is not None and sum_cls.verdict is not Verdict.UNDECIDED_BOUNDARY:
         conv = sum_cls.verdict is Verdict.CONVERGENT
@@ -265,7 +264,7 @@ def _adjoint_test_at(lam, idx, s, chi, n_max, snap_tol) -> ProbeResult:
     return ProbeResult(TriState.INCONCLUSIVE, "partial-sum trend ambiguous")
 
 
-def eigenvector(lam: complex, a: SequenceSpec, N: int, *, snap_tol: float = SNAP_TOL) -> np.ndarray:
+def eigenvector(lam: complex, a: SequenceSpec, N: int) -> np.ndarray:
     """Eigenvector for lambda = a_m: zeros below m, x_m = 1, then
 
         x_n = (a_n / a_m) / prod_{j=m+1}^{n} (1 - a_j/lambda).
@@ -275,7 +274,7 @@ def eigenvector(lam: complex, a: SequenceSpec, N: int, *, snap_tol: float = SNAP
     """
     lam = finite_lambda(lam)
     vals = a.values(N)
-    hits = _diagonal_hits(lam, vals, snap_tol)
+    hits = _diagonal_hits(lam, vals)
     if len(hits) == 0:
         raise TerraspecError("not-an-eigencandidate", f"lambda not on the diagonal up to N={N}")
     if len(hits) > 1:
@@ -293,9 +292,9 @@ def eigenvector(lam: complex, a: SequenceSpec, N: int, *, snap_tol: float = SNAP
     if np.any(factors == 0.0):
         j = m + 1 + int(np.argmax(factors == 0.0))
         raise TerraspecError("repeated-diagonal-unsupported", f"a_{j} also equals lambda")
-    signs, logmags = signed_log_cumprod(factors)
+    phase, logmag = log_cumprod(factors)
     log_a = np.log(vals)
-    x[m:] = signs * np.exp(log_a[m:] - log_a[m - 1] - logmags)
+    x[m:] = phase * np.exp(log_a[m:] - log_a[m - 1] - logmag)
     return x
 
 
@@ -314,29 +313,17 @@ def adjoint_eigvector(lam: complex, a: SequenceSpec, N: int) -> np.ndarray:
     x[0] = 1.0
     if N == 1:
         return x
-    vals = a.values(N - 1)
-    if lam.imag == 0.0:
-        factors = 1.0 - vals / lam.real
-        signs, logmags = signed_log_cumprod(factors)
-        with np.errstate(invalid="ignore"):
-            x[1:] = np.where(signs == 0, 0.0, signs * np.exp(logmags))
-        return x
-    factors = 1.0 - vals / lam
-    logmags, args, zero_from = complex_log_cumprod(factors)
-    vals_c = np.exp(logmags + 1j * args)
-    if zero_from is not None:
-        vals_c[zero_from:] = 0.0
-    x[1:] = vals_c
+    phase, logmag = log_cumprod(1.0 - a.values(N - 1) / divisor(lam))
+    x[1:] = phase * np.exp(logmag)
     return x
 
 
-def resolvent_section(
-    lam: complex, a: SequenceSpec, N: int, *, snap_tol: float = SNAP_TOL
-) -> FiniteSection:
+def resolvent_section(lam: complex, a: SequenceSpec, N: int) -> FiniteSection:
     """Explicit entrywise inverse of the lambda-shifted section.
 
     Off-diagonal entries come from prefix log-products, so the leading
-    M x M block equals the M-dimensional section exactly.
+    M x M block equals the M-dimensional section exactly.  A real lambda
+    gives entries with exactly zero imaginary parts.
     """
     lam = finite_lambda(lam)
     if lam == 0:
@@ -344,29 +331,19 @@ def resolvent_section(
     if N < 1:
         raise TerraspecError("index-out-of-range", f"N must be >= 1, got {N}")
     vals = a.values(N)
-    hits = _diagonal_hits(lam, vals, snap_tol)
+    hits = _diagonal_hits(lam, vals)
     if len(hits):
         raise TerraspecError("lambda-in-S", f"lambda matches a_{hits[0] + 1}")
+    lam_d = divisor(lam)
     B = np.zeros((N, N), dtype=complex)
-    if lam.imag == 0.0:
-        lr = lam.real
-        np.fill_diagonal(B, 1.0 / (vals - lr))
-        factors = 1.0 - vals / lr
-        signs, logmags = signed_log_cumprod(factors)
-        S = np.concatenate(([1], signs))
-        L = np.concatenate(([0.0], logmags))
-        inv_lam2 = 1.0 / (lr * lr)
-        for n in range(2, N + 1):
-            coef = -vals[n - 1] * inv_lam2 * S[n]
-            B[n - 1, : n - 1] = coef * S[: n - 1] * np.exp(L[: n - 1] - L[n])
-    else:
-        np.fill_diagonal(B, 1.0 / (vals - lam))
-        factors = 1.0 - vals / lam
-        logc = np.concatenate(([0j], np.cumsum(np.log(factors))))
-        inv_lam2 = 1.0 / (lam * lam)
-        for n in range(2, N + 1):
-            coef = -vals[n - 1] * inv_lam2
-            B[n - 1, : n - 1] = coef * np.exp(logc[: n - 1] - logc[n])
+    np.fill_diagonal(B, 1.0 / (vals - lam_d))
+    phase, logmag = log_cumprod(1.0 - vals / lam_d)
+    P = np.concatenate(([1.0], phase))
+    L = np.concatenate(([0.0], logmag))
+    inv_lam2 = 1.0 / (lam_d * lam_d)
+    for n in range(2, N + 1):
+        coef = -vals[n - 1] * inv_lam2 * P[n].conjugate()
+        B[n - 1, : n - 1] = coef * P[: n - 1] * np.exp(L[: n - 1] - L[n])
     return FiniteSection(N, _freeze(B), "resolvent")
 
 
@@ -380,12 +357,17 @@ class ResolventCheck:
 
 
 def verify_resolvent(lam: complex, a: SequenceSpec, N: int, tol: float = 1e-10) -> ResolventCheck:
-    """Multiply the explicit inverse back against the shifted section."""
+    """Multiply the explicit inverse back against the shifted section T - lambda I.
+
+    Row n of the terraced section T is a_n up to the diagonal, so TB is
+    a_n times the column prefix sums of B, and BT holds the suffix sums of
+    B * a_k along each row: O(N^2), with no dense T and no matmul.
+    """
     B = resolvent_section(lam, a, N).entries
-    M = build_section(a, N).entries - complex(lam) * np.eye(N)
-    eye = np.eye(N)
-    left = float(np.max(np.abs(M @ B - eye)))
-    right = float(np.max(np.abs(B @ M - eye)))
+    vals = a.values(N)
+    shifted = complex(lam) * B + np.eye(N)
+    left = float(np.max(np.abs(vals[:, None] * np.cumsum(B, axis=0) - shifted)))
+    right = float(np.max(np.abs(np.cumsum(B[:, ::-1] * vals[::-1], axis=1)[:, ::-1] - shifted)))
     worst = max(left, right)
     return ResolventCheck(left, right, worst, tol, worst <= tol)
 
@@ -397,10 +379,9 @@ def classify_point(
     chi: float,
     *,
     n_max: int = SCAN_N,
-    snap_tol: float = SNAP_TOL,
 ) -> SpectralPoint:
     """Full decision tree for one complex point (see classify_points)."""
-    return classify_points([lam], a, s, chi, n_max=n_max, snap_tol=snap_tol)[0]
+    return classify_points([lam], a, s, chi, n_max=n_max)[0]
 
 
 def classify_points(
@@ -410,7 +391,6 @@ def classify_points(
     chi: float,
     *,
     n_max: int = SCAN_N,
-    snap_tol: float = SNAP_TOL,
 ) -> list[SpectralPoint]:
     """Full decision tree for each point of ``lams``; the weight and S scans run once.
 
@@ -419,15 +399,15 @@ def classify_points(
     fails) and those points degrade to boundary_unknown.
     """
     lams = [finite_lambda(lam) for lam in lams]
+    check_chi(chi)
     if not verify_weight(s, _clamp(s, 1024)).bounded:
         raise TerraspecError("weight-not-bounded", "spectral classification needs a bounded weight")
     s_decreasing = verify_weight(s, _clamp(s, min(n_max, 4096))).decreasing
-    vals, band = _diagonal(a, n_max, snap_tol)
-    return [_classify(lam, *_locate(lam, vals, band), a, s, chi, s_decreasing, n_max, snap_tol)
-            for lam in lams]
+    vals, band = _diagonal(a, n_max)
+    return [_classify(lam, *_locate(lam, vals, band), a, s, chi, s_decreasing, n_max) for lam in lams]
 
 
-def _classify(lam, dist, nearest, idx, a, s, chi, s_decreasing, n_max, snap_tol) -> SpectralPoint:
+def _classify(lam, dist, nearest, idx, a, s, chi, s_decreasing, n_max) -> SpectralPoint:
     """The decision tree for one point, given its _locate result and the weight flag."""
     if lam == 0:
         # 0 is never reported in S, even where some a_k underflowed to 0.0
@@ -439,13 +419,13 @@ def _classify(lam, dist, nearest, idx, a, s, chi, s_decreasing, n_max, snap_tol)
     else:
         al = alpha(lam)
         ac = al * chi
-        pos = disk_position(lam, chi)
+        pos = _disk_position(lam, chi, al)
         if idx is not None:
-            a1_res = _point_test_at(lam, idx, a, s, chi, n_max)
+            a1_res = _point_test_at(lam, idx, a, s, chi, ac, n_max)
             a2_res = ProbeResult(TriState.NO, "lambda in S: excluded from the adjoint series set")
         else:
             a1_res = ProbeResult(TriState.NO, "lambda not in S")
-            a2_res = _adjoint_test_at(lam, None, s, chi, n_max, snap_tol)
+            a2_res = _adjoint_test_at(lam, s, ac, pos, n_max)
         if a1_res.outcome is TriState.YES:
             label = Label.POINT
         elif idx is not None:
@@ -502,11 +482,10 @@ def spectrum_grid(
     grid: GridSpec,
     *,
     n_max: int = SCAN_N,
-    snap_tol: float = SNAP_TOL,
 ) -> list[SpectralPoint]:
     """classify_points over the grid, row-major (im outer, re inner)."""
     lams = [complex(re, im) for im in grid.im_values() for re in grid.re_values()]
-    return classify_points(lams, a, s, chi, n_max=n_max, snap_tol=snap_tol)
+    return classify_points(lams, a, s, chi, n_max=n_max)
 
 
 @dataclass(frozen=True)
@@ -518,12 +497,10 @@ class PseudospectrumResult:
     membership: dict[float, np.ndarray]  # eps -> bool array, sigma_min <= eps
 
 
-def pseudospectrum_grid(
-    sec: FiniteSection, grid: GridSpec, epsilons, *, cap: int = DENSE_CAP
-) -> PseudospectrumResult:
+def pseudospectrum_grid(sec: FiniteSection, grid: GridSpec, epsilons) -> PseudospectrumResult:
     """Smallest singular value of (section - lambda I) on each grid node."""
-    if sec.n > cap:
-        raise TerraspecError("section-too-large", f"dense SVD capped at {cap}, got {sec.n}")
+    if sec.n > DENSE_CAP:
+        raise TerraspecError("section-too-large", f"dense SVD capped at {DENSE_CAP}, got {sec.n}")
     res = grid.re_values()
     ims = grid.im_values()
     sig = np.empty((len(ims), len(res)))

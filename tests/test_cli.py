@@ -208,6 +208,13 @@ class TestConfigCoercion:
         assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["re_range", "im_range"])
+    def test_non_finite_grid_range(self, tmp_path, capsys, field):
+        grid = {"re_range": [0, 1], "im_range": [0, 1], "resolution": 3, field: [0, math.inf]}
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "spectrum_map": {"grid": grid}})
+        assert run(["spectrum-map", "--config", cfg, "--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr().err == f"terraspec: error: spectrum_map.grid.{field} must be finite, got inf\n"
+
     @pytest.mark.parametrize("bad", [True, 20.9, "20"], ids=["bool", "fraction", "string"])
     @pytest.mark.parametrize(
         "command,block",
@@ -325,19 +332,27 @@ class TestIdealCommands:
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_cfg(tmp_path, CESARO_CFG)
-        for command, extra in [
-            ("classify", {}),
-            ("ideal-axioms", {"ideal_axioms": {"trials": 10, "dim": 5}}),
+        grid = {"re_range": [-0.2, 1.2], "im_range": [-0.3, 0.3], "resolution": [5, 3]}
+        for command, extra, suffix in [
+            ("classify", {}, ".json"),
+            ("spectrum-map", {"spectrum_map": {"grid": grid}}, ".csv"),
+            ("point-test", {"point_test": {"lambdas": [0.5, [0.3, 0.1], 2.0, 0.0]}}, ".json"),
+            ("resolvent-verify", {"resolvent_verify": {"lambda": [-0.6, 0.8], "n": 120}}, ".json"),
+            ("product-band", {"product_band": {"lambda": [2.0, 0.5], "n_range": [64, 8192]}}, ".json"),
+            ("ideal-qnorm", {"ideal_qnorm": {"section_n": 24}}, ".json"),
+            ("ideal-axioms", {"ideal_axioms": {"trials": 10, "dim": 5}}, ".json"),
         ]:
-            full = dict(CESARO_CFG)
-            full.update(extra)
-            cfg = write_cfg(tmp_path, full, name=f"{command}.json")
-            out1 = tmp_path / f"{command}-1.json"
-            out2 = tmp_path / f"{command}-2.json"
-            assert run([command, "--config", cfg, "--out", out1]) == 0
-            assert run([command, "--config", cfg, "--out", out2]) == 0
-            assert out1.read_bytes() == out2.read_bytes()
+            cfg = write_cfg(tmp_path, {**CESARO_CFG, **extra}, name=f"{command}.json")
+            outputs = []
+            for rerun in (1, 2):
+                stem = tmp_path / f"{command}-{rerun}"
+                args = [command, "--config", cfg, "--out", f"{stem}{suffix}"]
+                if command == "product-band":
+                    args += ["--csv", f"{stem}.csv"]
+                assert run(args) == 0, command
+                outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{command}-{rerun}.*"))])
+            assert outputs[0] == outputs[1], command
+            assert len(outputs[0]) == (2 if command == "product-band" else 1)
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, dict(CESARO_CFG, ideal_axioms={"trials": 5, "dim": 4}))

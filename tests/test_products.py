@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terraspec import products
 from terraspec.errors import TerraspecError
-from terraspec.products import alpha, log_product, ratio_band
-from terraspec.sequences import cesaro_scaled, table
+from terraspec.numerics import dyadic_probes
+from terraspec.products import BandReport, alpha, log_product, ratio_band
+from terraspec.sequences import SequenceSpec, cesaro_scaled, log_reciprocal, p_cesaro, table
 
 
 class TestAlpha:
@@ -138,3 +140,70 @@ class TestRatioBand:
     def test_degenerate_when_too_few_probes(self):
         rep = ratio_band(cesaro_scaled(1.0), 2.0, 1.0, (2**7, 2**7 + 1))
         assert rep.verdict == "degenerate"
+
+
+def _reference_segment_log(a, lam, m, n):
+    """log |prod_{k=m+1}^n (1 - a_k/lambda)| as the per-segment log_product summed it."""
+    vals = a.values(n)[m:n]
+    f = 1.0 - vals / lam.real if lam.imag == 0.0 else 1.0 - vals / lam
+    assert not np.any(f == 0.0)
+    return math.fsum(np.log(np.abs(f)))
+
+
+def _reference_ratio_band(a, lam, chi, n_range, exponent=None):
+    """ratio_band as a loop over dyadic segments, each read from values(n) at its own end."""
+    n_lo, n_hi = n_range
+    lam = complex(lam)
+    e = alpha(lam) * chi if exponent is None else float(exponent)
+    ratios, log_ratios = [], []
+    prev, log_p = 0, 0.0
+    for n in dyadic_probes(n_lo, n_hi):
+        log_p += _reference_segment_log(a, lam, prev, n)
+        prev = n
+        lr = log_p + e * math.log(n)
+        log_ratios.append(lr)
+        ratios.append((n, math.exp(lr)))
+    if len(ratios) < 3 or not all(math.isfinite(lr) for lr in log_ratios):
+        return BandReport(tuple(ratios), (math.nan, math.nan), math.nan, "degenerate", e)
+    slope = float(np.polyfit(np.log([n for n, _ in ratios]), np.array(log_ratios), 1)[0])
+    lo, hi = math.exp(min(log_ratios)), math.exp(max(log_ratios))
+    bounded = abs(slope) < products.SLOPE_TOL and hi / lo < products.BAND_TOL
+    verdict = "bounded_band" if bounded else "drifting"
+    return BandReport(tuple(ratios), (lo, hi), slope, verdict, e)
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result, or OverflowError where a ratio passes exp(709) and both raise it.
+
+    That happens on log_reciprocal for Re(lambda) <= 0, where the product grows faster than any power.
+    """
+    try:
+        return repr(fn(*args, **kwargs))
+    except OverflowError:
+        return OverflowError
+
+
+BAND_DIAGONALS = {
+    "cesaro": (cesaro_scaled(1.3), 1.3),
+    "p_cesaro": (p_cesaro(0.9), 1.0),
+    "table": (table([1.0 / n + 0.5 / n**2 for n in range(1, 2**17 + 1)]), 1.0),
+    "log_reciprocal": (log_reciprocal(), 1.0),
+}
+
+
+class TestRatioBandAgainstReference:
+    @pytest.mark.parametrize("lam", [2.0, -0.7, 4.5, 2.0 + 0.5j, -0.6 + 0.8j, 0.9j], ids=str)
+    @pytest.mark.parametrize("diagonal", BAND_DIAGONALS)
+    def test_equal_to_the_segment_loop(self, diagonal, lam):
+        a, chi = BAND_DIAGONALS[diagonal]
+        for n_range, e in [((2**7, 2**17), None), ((3, 2**12 + 5), None), ((1, 2), None), ((16, 2**10), 0.55)]:
+            got = _outcome(ratio_band, a, lam, chi, n_range, exponent=e)
+            assert got == _outcome(_reference_ratio_band, a, lam, chi, n_range, e)
+
+    def test_one_values_call_and_no_log_product(self, monkeypatch):
+        calls = []
+        real_values = SequenceSpec.values
+        monkeypatch.setattr(SequenceSpec, "values", lambda self, n: calls.append(n) or real_values(self, n))
+        monkeypatch.setattr(products, "log_product", None)
+        ratio_band(cesaro_scaled(1.0), 2.0 + 0.5j, 1.0, (2**7, 2**15))
+        assert calls == [2**15]

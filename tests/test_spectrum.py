@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from terraspec import spectrum
 from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
 from terraspec.products import alpha, log_product, ratio_band
-from terraspec.sequences import cesaro_scaled, constant, custom, max_index, p_cesaro, power_weight, table
-from terraspec.sequences import verify_weight
+from terraspec.sequences import cesaro_scaled, constant, custom, log_reciprocal, max_index, p_cesaro, power_weight
+from terraspec.sequences import table, verify_weight
 from terraspec.spectrum import (
     SCAN_N,
-    SNAP_TOL,
     Evidence,
     GridSpec,
     Label,
@@ -306,6 +306,79 @@ class TestVerifyResolvent:
             verify_resolvent(1.0, CESARO, 10)
 
 
+def _reference_resolvent_section(lam, a, N):
+    """The entries resolvent_section built with a sign-tracked real branch and a complex-log branch."""
+    vals = a.values(N)
+    B = np.zeros((N, N), dtype=complex)
+    if lam.imag == 0.0:
+        lr = lam.real
+        np.fill_diagonal(B, 1.0 / (vals - lr))
+        f = 1.0 - vals / lr
+        S = np.concatenate(([1], np.cumprod(np.sign(f)).astype(int)))
+        L = np.concatenate(([0.0], np.cumsum(np.log(np.abs(f)))))
+        for n in range(2, N + 1):
+            coef = -vals[n - 1] * (1.0 / (lr * lr)) * S[n]
+            B[n - 1, : n - 1] = coef * S[: n - 1] * np.exp(L[: n - 1] - L[n])
+    else:
+        np.fill_diagonal(B, 1.0 / (vals - lam))
+        logc = np.concatenate(([0j], np.cumsum(np.log(1.0 - vals / lam))))
+        for n in range(2, N + 1):
+            coef = -vals[n - 1] * (1.0 / (lam * lam))
+            B[n - 1, : n - 1] = coef * np.exp(logc[: n - 1] - logc[n])
+    return B
+
+
+def _reference_verify_resolvent(lam, a, N, tol=1e-10):
+    """verify_resolvent with the dense terraced section and two matmuls."""
+    B = resolvent_section(lam, a, N).entries
+    M = build_section(a, N).entries - complex(lam) * np.eye(N)
+    left = float(np.max(np.abs(M @ B - np.eye(N))))
+    right = float(np.max(np.abs(B @ M - np.eye(N))))
+    return left, right, max(left, right) <= tol
+
+
+RESOLVENT_DIAGONALS = {
+    "cesaro": cesaro_scaled(1.0),
+    "p_cesaro": p_cesaro(0.9),
+    "table": table([1.0 / n if n != 5 else 0.25 for n in range(1, 401)]),
+    "log_reciprocal": log_reciprocal(),
+}
+# outside the spectral disk and away from 0: on the Cesaro-like diagonals B stays O(1) and the
+# residuals are rounding-level; the ill-conditioned points make entries span many orders
+WELL_CONDITIONED = (2.0, 3.1, -0.6, 1.5, -0.6 + 0.8j, 2.5 - 1.1j, 0.7j)
+ILL_CONDITIONED = (0.4, 0.3 + 0.05j, -0.155 + 0.0456j)
+
+
+class TestResolventAgainstReference:
+    @pytest.mark.parametrize("diagonal", RESOLVENT_DIAGONALS)
+    def test_entries(self, diagonal):
+        a = RESOLVENT_DIAGONALS[diagonal]
+        for lam in WELL_CONDITIONED + ILL_CONDITIONED:
+            lam = complex(lam)
+            for N in (1, 2, 50, 400):
+                got = resolvent_section(lam, a, N).entries
+                want = _reference_resolvent_section(lam, a, N)
+                if lam.imag == 0.0:
+                    assert np.array_equal(got, want) and not np.any(got.imag)
+                else:
+                    # log|f| replaces the real part of the complex log: up to 4 N eps apart
+                    rel = np.abs(got - want)[want != 0] / np.abs(want)[want != 0]
+                    assert np.max(rel) <= 4 * N * np.finfo(float).eps, (lam, N, np.max(rel))
+                    assert np.all(got[want == 0] == 0)
+
+    @pytest.mark.parametrize("diagonal", RESOLVENT_DIAGONALS)
+    def test_verify(self, diagonal):
+        a = RESOLVENT_DIAGONALS[diagonal]
+        for lam in WELL_CONDITIONED + ILL_CONDITIONED:
+            for N in (1, 2, 50, 400):
+                chk = verify_resolvent(lam, a, N)
+                left, right, passed = _reference_verify_resolvent(lam, a, N)
+                assert chk.passed is passed
+                if lam in WELL_CONDITIONED and diagonal != "log_reciprocal":
+                    assert passed
+                    assert abs(chk.left_residual - left) <= 1e-13 and abs(chk.right_residual - right) <= 1e-13
+
+
 class TestClassifyPoint:
     def test_interior_point_is_residual(self):
         pt = classify_point(0.4, CESARO, UNIT, 1.0)
@@ -384,7 +457,7 @@ def test_non_finite_lambda_rejected(entry, lam):
     assert exc.value.code == "lambda-not-finite"
 
 
-def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N, snap_tol=SNAP_TOL):
+def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N):
     """The per-point decision tree classify_points replaced, built from the public tests.
 
     Only bounded weights are passed here, so the boundedness check is left out.
@@ -393,7 +466,7 @@ def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N, snap_tol=SNAP_TOL
     depth = min(n_max, 4096) if max_index(s) is None else min(n_max, 4096, max_index(s))
     s_decreasing = verify_weight(s, depth).decreasing
     dist, nearest = dist_to_S(lam, a, n_max)
-    idx = find_in_S(lam, a, n_max, snap_tol)
+    idx = find_in_S(lam, a, n_max)
     in_s = idx is not None
     if lam == 0:
         ev = Evidence(
@@ -404,11 +477,11 @@ def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N, snap_tol=SNAP_TOL
     al = alpha(lam)
     pos = disk_position(lam, chi)
     if in_s:
-        a1 = point_spectrum_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
+        a1 = point_spectrum_test(lam, a, s, chi, n_max=n_max)
         a2 = ProbeResult(TriState.NO, "lambda in S: excluded from the adjoint series set")
     else:
         a1 = ProbeResult(TriState.NO, "lambda not in S")
-        a2 = adjoint_point_test(lam, a, s, chi, n_max=n_max, snap_tol=snap_tol)
+        a2 = adjoint_point_test(lam, a, s, chi, n_max=n_max)
     if a1.outcome is TriState.YES:
         label = Label.POINT
     elif in_s:
@@ -475,6 +548,25 @@ class TestClassifyPointsAgainstReference:
         want = [_reference_classify_point(lam, CESARO, s, 1.0, n_max=8) for lam in lams]
         assert [repr(p) for p in got] == [repr(p) for p in want]
         assert Label.BOUNDARY_UNKNOWN in {p.label for p in got}
+
+    def test_one_disk_position_and_alpha_per_point(self, monkeypatch):
+        calls = {"alpha": 0, "disk_position": 0, "_disk_position": 0}
+
+        def counted(name):
+            fn = getattr(spectrum, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spectrum, name, counted(name))
+        lams = _probe_lambdas(CESARO, 1.0, 2000)
+        points = classify_points(lams, CESARO, power_weight(1.5), 1.0)
+        nonzero = sum(lam != 0 for lam in lams)
+        assert {p.label for p in points} >= {Label.RESOLVENT, Label.RESIDUAL, Label.POINT}
+        assert calls["alpha"] <= nonzero and calls["disk_position"] + calls["_disk_position"] <= nonzero
 
     def test_single_point_is_classify_point(self):
         lams = _probe_lambdas(CESARO, 1.0, 100)
