@@ -153,7 +153,7 @@ def ideal_preconditions(a: SequenceSpec, r: SequenceSpec, n_max: int = 4096) -> 
     if a.asym is not None and r.asym is not None and limit_class(mul(a.asym, r.asym)) is Limit.INFINITE:
         normalized = TriState.NO
     else:
-        sup = max(a.scaled(n, rv[n - 1]) for n in range(1, n_max + 1))
+        sup = float(np.max(a.scaled_values(rv)))
         normalized = TriState.YES if abs(sup - 1.0) <= 1e-9 else TriState.NO
     return IdealFlags(ideal_ok, closed_ok, normalized)
 

@@ -93,20 +93,14 @@ def dyadic_probes(lo: int, hi: int) -> list[int]:
     return probes
 
 
-def classify_limit_trend(
-    values,
-    *,
-    zero_tol: float = 1e-8,
-    flat_band: float = 0.02,
-    window: int = 4,
-) -> Limit | None:
+def classify_limit_trend(values) -> Limit | None:
     """Heuristic limit trichotomy from samples at geometrically spaced n.
 
-    Looks at the trailing ``window`` ratios: all within ``flat_band`` of 1
-    -> finite nonzero; all below 1 - flat_band -> zero; all above
-    1 + flat_band -> infinite; anything mixed -> None (inconclusive).
-    A final sample below ``zero_tol`` (relative to the peak) short-circuits
-    to zero; an infinite (overflowed) final sample to infinite.
+    Looks at the trailing 4 ratios: all within 0.02 of 1 -> finite
+    nonzero; all at most 0.98 -> zero; all at least 1.02 -> infinite;
+    anything mixed -> None (inconclusive).  A final sample at most 1e-8
+    (relative to the peak) short-circuits to zero; an infinite (overflowed)
+    final sample to infinite.
     """
     v = np.abs(np.asarray(values, dtype=float))
     if len(v) < 2:
@@ -114,17 +108,17 @@ def classify_limit_trend(
     if np.isinf(v[-1]):
         return Limit.INFINITE
     peak = v.max()
-    if peak == 0.0 or v[-1] <= zero_tol * max(peak, 1.0):
+    if peak == 0.0 or v[-1] <= 1e-8 * max(peak, 1.0):
         return Limit.ZERO
-    tail = v[-(window + 1):]
+    tail = v[-5:]
     if np.any(tail == 0.0):
         return Limit.ZERO if tail[-1] == 0.0 else None
     ratios = tail[1:] / tail[:-1]
-    if np.all(np.abs(ratios - 1.0) <= flat_band):
+    if np.all(np.abs(ratios - 1.0) <= 0.02):
         return Limit.FINITE_NONZERO
-    if np.all(ratios <= 1.0 - flat_band):
+    if np.all(ratios <= 0.98):
         return Limit.ZERO
-    if np.all(ratios >= 1.0 + flat_band):
+    if np.all(ratios >= 1.02):
         return Limit.INFINITE
     return None
 

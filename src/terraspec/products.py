@@ -28,7 +28,7 @@ from .sequences import SequenceSpec
 #: relative tolerance for flagging a factor as numerically near-singular
 NEAR_SINGULAR_RTOL = 1e-12
 
-#: default verdict thresholds for ratio_band
+#: verdict thresholds for ratio_band
 SLOPE_TOL = 0.02
 BAND_TOL = 1e3
 
@@ -93,13 +93,13 @@ def ratio_band(
     n_range: tuple[int, int],
     *,
     exponent: float | None = None,
-    slope_tol: float = SLOPE_TOL,
-    band_tol: float = BAND_TOL,
 ) -> BandReport:
     """Check prod_{k<=n} |1 - a_k/lambda| ~ n**(-alpha*chi) over dyadic n.
 
     ``exponent`` overrides alpha(lam) * chi, which is how a deliberately
     wrong exponent is probed: the mismatch reappears as the log-log slope.
+    A ratio past the double range (the product outgrows every power, as
+    for 1/log(n+1) with Re(lambda) <= 0) raises ``product-overflow``.
     """
     n_lo, n_hi = n_range
     if not (1 <= n_lo < n_hi):
@@ -123,7 +123,10 @@ def ratio_band(
         prev = n
         lr = log_p + e * math.log(n)
         log_ratios.append(lr)
-        ratios.append((n, math.exp(lr)))
+        try:
+            ratios.append((n, math.exp(lr)))
+        except OverflowError:
+            raise TerraspecError("product-overflow", f"log ratio {lr} at n={n} is past the double range") from None
 
     finite = [lr for lr in log_ratios if math.isfinite(lr)]
     if len(ratios) < 3 or len(finite) != len(log_ratios):
@@ -132,7 +135,7 @@ def ratio_band(
     slope = float(np.polyfit(log_ns, np.array(log_ratios), 1)[0])
     lo = math.exp(min(log_ratios))
     hi = math.exp(max(log_ratios))
-    if abs(slope) < slope_tol and hi / lo < band_tol:
+    if abs(slope) < SLOPE_TOL and hi / lo < BAND_TOL:
         verdict = "bounded_band"
     else:
         verdict = "drifting"

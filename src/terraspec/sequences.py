@@ -36,24 +36,26 @@ class SequenceSpec:
     asym: AsymptoticClass | None = None
 
     def value(self, n: int) -> float:
-        """a_n for 1-based n (scalar path)."""
+        """a_n for 1-based n: element n of ``values``."""
         return self.scaled(n, 1.0)
 
     def scaled(self, n: int, factor: float) -> float:
-        """a_n * factor with the division done last.
+        """a_n * factor with the division done last: element n of ``scaled_values``.
 
         For quotient families (chi/n, 1/n**p, ...) this keeps identities
-        like (chi/n) * n == chi exact in floating point.
+        like (chi/n) * n == chi exact in floating point.  It evaluates the
+        family's array form at the run [n], so it returns the same bits as
+        the array methods, by construction.
         """
         if n < 1:
             raise TerraspecError("index-out-of-range", f"n must be >= 1, got {n}")
-        return _FAMILIES[self.family].scaled(self, n, factor)
+        return float(_FAMILIES[self.family].vector(self, np.array([n], dtype=float), factor)[0])
 
     def log_value(self, n: int) -> float:
-        """log a_n, computed without forming a_n (safe under under/overflow)."""
+        """log a_n, computed without forming a_n: element n of ``log_values``."""
         if n < 1:
             raise TerraspecError("index-out-of-range", f"n must be >= 1, got {n}")
-        return _FAMILIES[self.family].log(self, n)
+        return float(_FAMILIES[self.family].vlog(self, np.array([n], dtype=float))[0])
 
     def values(self, n_max: int) -> np.ndarray:
         """Array of a_1..a_{n_max}; cached, shared by scans and sections."""
@@ -79,35 +81,37 @@ def _values_cached(spec: SequenceSpec, n_max: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class _Family:
-    """One family: parameters, growth class and its four evaluators.
+    """One family: parameters, growth class and its two evaluators.
 
-    ``scaled(spec, n, factor)`` is a_n * factor, ``vector(spec, n, factors)``
-    its array form (``values`` passes 1.0), both division last.  ``log`` is
-    log a_n and ``vlog(spec, n)`` its array form.  The array forms take
-    n = 1..N as floats.  ``asym`` is None for user-supplied data (table,
-    custom).
+    ``vector(spec, n, factors)`` is a_n * factors, division last, and
+    ``vlog(spec, n)`` is log a_n.  Both take a contiguous run of indices
+    n = n[0]..n[-1] as floats: ``values`` and ``scaled_values`` pass
+    1..N, the scalar methods of :class:`SequenceSpec` the one-element run
+    [n].  ``asym`` is None for user-supplied data (table, custom).
     """
 
     params: tuple[str, ...]  # JSON / keyword names, in positional order
     positive: bool  # the first parameter must be > 0
     asym: Callable[[tuple[float, ...]], AsymptoticClass] | None
-    scaled: Callable[[SequenceSpec, int, float], float]
-    log: Callable[[SequenceSpec, int], float]
     vector: Callable[[SequenceSpec, np.ndarray, np.ndarray | float], np.ndarray]
     vlog: Callable[[SequenceSpec, np.ndarray], np.ndarray]
 
 
-def _table_depth(spec: SequenceSpec, n: int) -> int:
-    if n > len(spec.table):
-        raise TerraspecError("index-out-of-range", f"table has {len(spec.table)} entries, asked for n={n}")
-    return n
+def _run(n: np.ndarray) -> range:
+    """The contiguous indices n[0]..n[-1] as ints; empty for an empty n."""
+    return range(int(n[0]), int(n[-1]) + 1) if len(n) else range(1, 1)
 
 
-def _geometric_scaled(spec, n, f):
-    try:
-        return spec.params[0] ** n * f
-    except OverflowError:  # ratio > 1: inf, as the array form gives
-        return math.inf * f
+def _table_vector(spec, n, f):
+    run = _run(n)
+    if run.stop - 1 > len(spec.table):
+        msg = f"table has {len(spec.table)} entries, asked for n={run.stop - 1}"
+        raise TerraspecError("index-out-of-range", msg)
+    return np.array(spec.table[run.start - 1 : run.stop - 1], dtype=float) * f
+
+
+def _custom_vector(spec, n, f):
+    return np.array([spec.fn(k) for k in _run(n)], dtype=float) * f
 
 
 def _geometric_vector(spec, n, f):
@@ -116,13 +120,9 @@ def _geometric_vector(spec, n, f):
         return spec.params[0] ** n * f
 
 
-def _log_of_value(spec, n):
-    return math.log(spec.value(n))
-
-
-def _log_of_values(spec, n):
-    # math.log per entry: a non-positive user value raises, as in _log_of_value
-    return np.array([math.log(v) for v in spec.values(len(n))])
+def _log_of_vector(spec, n):
+    # math.log per entry: a non-positive user value raises ValueError
+    return np.array([math.log(v) for v in _FAMILIES[spec.family].vector(spec, n, 1.0)])
 
 
 def _power_family(name: str) -> _Family:
@@ -131,8 +131,6 @@ def _power_family(name: str) -> _Family:
         (name,),
         False,
         lambda p: AsymptoticClass(1.0, 1.0, -p[0], 0.0),
-        lambda spec, n, f: f / float(n) ** spec.params[0],
-        lambda spec, n: -spec.params[0] * math.log(n),
         lambda spec, n, f: f / n ** spec.params[0],
         lambda spec, n: -spec.params[0] * np.log(n),
     )
@@ -144,8 +142,6 @@ _FAMILIES = {
         True,
         lambda p: AsymptoticClass(p[0], 1.0, -1.0, 0.0),
         lambda spec, n, f: spec.params[0] * f / n,
-        lambda spec, n: math.log(spec.params[0]) - math.log(n),
-        lambda spec, n, f: spec.params[0] * f / n,
         lambda spec, n: math.log(spec.params[0]) - np.log(n),
     ),
     "p_cesaro": _power_family("p"),
@@ -153,8 +149,6 @@ _FAMILIES = {
         (),
         False,
         lambda p: AsymptoticClass(1.0, 1.0, 0.0, -1.0),
-        lambda spec, n, f: f / math.log(n + 1.0),
-        lambda spec, n: -math.log(math.log(n + 1.0)),
         lambda spec, n, f: f / np.log(n + 1.0),
         lambda spec, n: -np.log(np.log(n + 1.0)),
     ),
@@ -163,8 +157,6 @@ _FAMILIES = {
         ("ratio",),
         True,
         lambda p: AsymptoticClass(1.0, p[0], 0.0, 0.0),
-        _geometric_scaled,
-        lambda spec, n: n * math.log(spec.params[0]),
         _geometric_vector,
         lambda spec, n: n * math.log(spec.params[0]),
     ),
@@ -172,29 +164,11 @@ _FAMILIES = {
         ("value",),
         True,
         lambda p: AsymptoticClass(p[0], 1.0, 0.0, 0.0),
-        lambda spec, n, f: spec.params[0] * f,
-        lambda spec, n: math.log(spec.params[0]),
         lambda spec, n, f: np.full(len(n), spec.params[0]) * f,
         lambda spec, n: np.full(len(n), math.log(spec.params[0])),
     ),
-    "table": _Family(
-        (),
-        False,
-        None,
-        lambda spec, n, f: spec.table[_table_depth(spec, n) - 1] * f,
-        _log_of_value,
-        lambda spec, n, f: np.array(spec.table[: _table_depth(spec, len(n))], dtype=float) * f,
-        _log_of_values,
-    ),
-    "custom": _Family(
-        (),
-        False,
-        None,
-        lambda spec, n, f: spec.fn(n) * f,
-        _log_of_value,
-        lambda spec, n, f: np.array([spec.fn(k) for k in range(1, len(n) + 1)], dtype=float) * f,
-        _log_of_values,
-    ),
+    "table": _Family((), False, None, _table_vector, _log_of_vector),
+    "custom": _Family((), False, None, _custom_vector, _log_of_vector),
 }
 
 FAMILIES = tuple(_FAMILIES)

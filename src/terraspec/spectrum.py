@@ -47,6 +47,9 @@ def _clamp(spec: SequenceSpec, n: int) -> int:
 #: snap tolerance for membership of a floating lambda in the exact set S
 SNAP_TOL = 1e-13
 
+#: relative width of the boundary band of the spectral disk
+DISK_RTOL = 1e-12
+
 #: default diagonal scan depth
 SCAN_N = 10000
 
@@ -93,7 +96,7 @@ class SpectralPoint:
     evidence: Evidence
 
 
-def disk_position(lam: complex, chi: float, rtol: float = 1e-12) -> str:
+def disk_position(lam: complex, chi: float) -> str:
     """interior/boundary/exterior of |lambda - chi/2| <= chi/2.
 
     Computed twice (circle distance and the equivalent Re(1/lambda) vs
@@ -102,21 +105,21 @@ def disk_position(lam: complex, chi: float, rtol: float = 1e-12) -> str:
     """
     check_chi(chi)
     lam = finite_lambda(lam)
-    return "boundary" if lam == 0 else _disk_position(lam, chi, alpha(lam), rtol)
+    return "boundary" if lam == 0 else _disk_position(lam, chi, alpha(lam))
 
 
-def _disk_position(lam: complex, chi: float, al: float, rtol: float = 1e-12) -> str:
+def _disk_position(lam: complex, chi: float, al: float) -> str:
     """disk_position of a nonzero lambda with alpha(lambda) = al."""
     radius = chi / 2.0
     d = abs(lam - radius)
-    if abs(d - radius) <= rtol * radius:
+    if abs(d - radius) <= DISK_RTOL * radius:
         circle = "boundary"
     elif d < radius:
         circle = "interior"
     else:
         circle = "exterior"
     gap = al - 1.0 / chi
-    if abs(gap) <= rtol / chi:
+    if abs(gap) <= DISK_RTOL / chi:
         halfplane = "boundary"
     elif gap > 0:
         halfplane = "interior"

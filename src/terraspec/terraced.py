@@ -31,7 +31,7 @@ DENSE_SAMPLE_LIMIT = 1000
 
 @dataclass(frozen=True)
 class FiniteSection:
-    """N x N lower-triangular complex matrix with optional weight context.
+    """N x N lower-triangular complex matrix.
 
     ``kind`` is "terraced" for row-constant sections, "resolvent"
     for explicit inverse sections, "general" otherwise.  Entries above the
@@ -41,7 +41,6 @@ class FiniteSection:
     n: int
     entries: np.ndarray  # complex128, shape (n, n), read-only
     kind: str = "general"
-    weights: tuple[SequenceSpec, SequenceSpec] | None = None
 
     def __post_init__(self):
         if self.entries.shape != (self.n, self.n):
@@ -77,7 +76,7 @@ def conjugate_section(sec: FiniteSection, r: SequenceSpec, s: SequenceSpec) -> F
     if np.any(rv <= 0.0) or np.any(sv <= 0.0):
         raise TerraspecError("weight-not-positive", "conjugation weights must be strictly positive")
     mat = (sv[:, None] * sec.entries) / rv[None, :]
-    return FiniteSection(sec.n, _freeze(mat), "general", (r, s))
+    return FiniteSection(sec.n, _freeze(mat), "general")
 
 
 def _criterion_scan(a: SequenceSpec, r: SequenceSpec, s: SequenceSpec, n_max: int):
@@ -197,9 +196,8 @@ def operator_norm_bounds(
     if a.asym is not None and limit_class(mul(a.asym, INDEX)) is Limit.INFINITE:
         upper = math.inf
     else:
-        upper = max(a.scaled(n, float(n)) for n in range(1, min(n_max, DENSE_SAMPLE_LIMIT) + 1))
-        for n in dyadic_probes(1, n_max):
-            upper = max(upper, a.scaled(n, float(n)))
+        keep = np.union1d(np.arange(1, min(n_max, DENSE_SAMPLE_LIMIT) + 1), dyadic_probes(1, n_max))
+        upper = float(np.max(a.scaled_values(np.arange(1, n_max + 1, dtype=float))[keep - 1]))
     return lower, upper
 
 

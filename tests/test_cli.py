@@ -296,6 +296,22 @@ class TestProductBand:
         )
         assert run(["product-band", "--config", cfg, "--out", tmp_path / "x.json"]) == 3
 
+    @pytest.mark.parametrize("lam,n", [([-0.7, 0.0], 4096), ([0.0, 0.9], 131072)], ids=["negative", "imaginary"])
+    def test_ratio_past_double_range(self, tmp_path, capsys, lam, n):
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "a": {"family": "log_reciprocal"},
+                "chi": 1.0,
+                "product_band": {"lambda": lam, "n_range": [128, 2**17]},
+            },
+        )
+        out = tmp_path / "band.json"
+        assert run(["product-band", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("terraspec: error: product-overflow: ") and err.endswith(f" at n={n} is past the double range\n")
+        assert not out.exists()
+
 
 class TestIdealCommands:
     def test_qnorm_from_user_values(self, tmp_path):

@@ -18,7 +18,7 @@ from terraspec.ideals import (
     snumbers_from_section,
     stype_membership,
 )
-from terraspec.numerics import TriState
+from terraspec.numerics import TriState, dyadic_probes
 from terraspec.sequences import cesaro_scaled, constant, custom, geometric, power_weight, table
 from terraspec.terraced import build_section
 
@@ -158,6 +158,14 @@ class TestIdealPreconditions:
         # 2**n overflows past n = 1023; the probes see inf, never an OverflowError
         flags = ideal_preconditions(geometric(2.0), table([1.0] * 4096))
         assert flags == IdealFlags(TriState.NO, TriState.NO, TriState.NO)
+
+    def test_scalar_calls_only_at_probes(self, scalar_calls):
+        # the normalisation sup reads one array; only the two probe trends of a classless pair are scalar
+        ideal_preconditions(CESARO, UNIT)
+        ideal_preconditions(geometric(0.5), cesaro_scaled(2.0))
+        assert scalar_calls == []
+        ideal_preconditions(custom(lambda n: 1.0 / n), UNIT)
+        assert len(scalar_calls) == 2 * len(dyadic_probes(4, 4096))
 
 
 class TestAxioms:

@@ -173,14 +173,19 @@ def _reference_ratio_band(a, lam, chi, n_range, exponent=None):
 
 
 def _outcome(fn, *args, **kwargs):
-    """repr of the result, or OverflowError where a ratio passes exp(709) and both raise it.
+    """repr of the result, or the error code where a ratio passes exp(709).
 
-    That happens on log_reciprocal for Re(lambda) <= 0, where the product grows faster than any power.
+    That happens on log_reciprocal for Re(lambda) <= 0, where the product grows faster than any power:
+    the reference loop raises a bare OverflowError there, and ratio_band must raise product-overflow.
     """
     try:
         return repr(fn(*args, **kwargs))
+    except TerraspecError as exc:
+        return exc.code
     except OverflowError:
-        return OverflowError
+        if fn is ratio_band:
+            raise
+        return "product-overflow"
 
 
 BAND_DIAGONALS = {

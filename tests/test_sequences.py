@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terraspec.asymptotics import AsymptoticClass
@@ -223,71 +223,69 @@ def _reference_fn(k: int) -> float:
     return 1.0 / (k + 0.5)
 
 
-# (spec, scaled(n, f), log a_n, values(N), scaled_values(factors), growth class):
-# the per-family formulas written out literally, as they stood before the
-# family table; every family must reproduce them bit for bit.
+# (spec, log_values(N), values(N), scaled_values(factors), growth class):
+# the per-family formulas written out literally; every family must reproduce
+# them bit for bit, and its scalar methods must return element n of them.
 _TABLE = (3.0, 1.0, 0.5, 0.25, 0.2)
+
+
+def _ns(N):
+    return np.arange(1, N + 1, dtype=float)
+
+
 FAMILY_REFERENCE = [
     (
         cesaro_scaled(0.7),
-        lambda n, f: 0.7 * f / n,
-        lambda n: math.log(0.7) - math.log(n),
-        lambda N: 0.7 / np.arange(1, N + 1, dtype=float),
-        lambda fs: 0.7 * fs / np.arange(1, len(fs) + 1, dtype=float),
+        lambda N: math.log(0.7) - np.log(_ns(N)),
+        lambda N: 0.7 / _ns(N),
+        lambda fs: 0.7 * fs / _ns(len(fs)),
         AsymptoticClass(0.7, 1.0, -1.0, 0.0),
     ),
     (
         p_cesaro(1.5),
-        lambda n, f: f / float(n) ** 1.5,
-        lambda n: -1.5 * math.log(n),
-        lambda N: 1.0 / np.arange(1, N + 1, dtype=float) ** 1.5,
-        lambda fs: fs / np.arange(1, len(fs) + 1, dtype=float) ** 1.5,
+        lambda N: -1.5 * np.log(_ns(N)),
+        lambda N: 1.0 / _ns(N) ** 1.5,
+        lambda fs: fs / _ns(len(fs)) ** 1.5,
         AsymptoticClass(1.0, 1.0, -1.5, 0.0),
     ),
     (
         log_reciprocal(),
-        lambda n, f: f / math.log(n + 1.0),
-        lambda n: -math.log(math.log(n + 1.0)),
-        lambda N: 1.0 / np.log(np.arange(1, N + 1, dtype=float) + 1.0),
-        lambda fs: fs / np.log(np.arange(1, len(fs) + 1, dtype=float) + 1.0),
+        lambda N: -np.log(np.log(_ns(N) + 1.0)),
+        lambda N: 1.0 / np.log(_ns(N) + 1.0),
+        lambda fs: fs / np.log(_ns(len(fs)) + 1.0),
         AsymptoticClass(1.0, 1.0, 0.0, -1.0),
     ),
     (
         power_weight(-0.25),
-        lambda n, f: f / float(n) ** -0.25,
-        lambda n: 0.25 * math.log(n),
-        lambda N: 1.0 / np.arange(1, N + 1, dtype=float) ** -0.25,
-        lambda fs: fs / np.arange(1, len(fs) + 1, dtype=float) ** -0.25,
+        lambda N: 0.25 * np.log(_ns(N)),
+        lambda N: 1.0 / _ns(N) ** -0.25,
+        lambda fs: fs / _ns(len(fs)) ** -0.25,
         AsymptoticClass(1.0, 1.0, 0.25, 0.0),
     ),
     (
         geometric(0.9),
-        lambda n, f: 0.9**n * f,
-        lambda n: n * math.log(0.9),
-        lambda N: 0.9 ** np.arange(1, N + 1, dtype=float),
-        lambda fs: 0.9 ** np.arange(1, len(fs) + 1, dtype=float) * fs,
+        lambda N: _ns(N) * math.log(0.9),
+        lambda N: 0.9 ** _ns(N),
+        lambda fs: 0.9 ** _ns(len(fs)) * fs,
         AsymptoticClass(1.0, 0.9, 0.0, 0.0),
     ),
     (
         constant(2.5),
-        lambda n, f: 2.5 * f,
-        lambda n: math.log(2.5),
+        lambda N: np.full(N, math.log(2.5)),
         lambda N: np.full(N, 2.5),
         lambda fs: np.full(len(fs), 2.5) * fs,
         AsymptoticClass(2.5, 1.0, 0.0, 0.0),
     ),
     (
         table(_TABLE),
-        lambda n, f: _TABLE[n - 1] * f,
-        lambda n: math.log(_TABLE[n - 1] * 1.0),
+        lambda N: np.array([math.log(v) for v in _TABLE[:N]]),
         lambda N: np.array(_TABLE[:N], dtype=float),
         lambda fs: np.array(_TABLE[: len(fs)], dtype=float) * fs,
         None,
     ),
     (
         custom(_reference_fn),
-        lambda n, f: _reference_fn(n) * f,
-        lambda n: math.log(_reference_fn(n) * 1.0),
+        lambda N: np.array([math.log(_reference_fn(k)) for k in range(1, N + 1)]),
         lambda N: np.array([_reference_fn(k) for k in range(1, N + 1)], dtype=float),
         lambda fs: np.array([_reference_fn(k) for k in range(1, len(fs) + 1)], dtype=float) * fs,
         None,
@@ -296,20 +294,21 @@ FAMILY_REFERENCE = [
 
 
 @pytest.mark.parametrize(
-    "spec,scaled,log_value,values,scaled_values,asym",
+    "spec,log_values,values,scaled_values,asym",
     FAMILY_REFERENCE,
     ids=[row[0].family for row in FAMILY_REFERENCE],
 )
-def test_family_table_is_bit_exact(spec, scaled, log_value, values, scaled_values, asym):
+def test_family_table_is_bit_exact(spec, log_values, values, scaled_values, asym):
     depth = len(_TABLE) if spec.family == "table" else 3000
     ns = [n for n in (1, 2, 3, 5, 17, 100, 1023, 3000) if n <= depth]
     for n in ns:
         for f in (1.0, 0.3, 7.0, float(n), 1e-300):
-            assert spec.scaled(n, f) == scaled(n, f)
-        assert spec.value(n) == scaled(n, 1.0)
-        assert spec.log_value(n) == log_value(n)
-    for N in sorted({1, min(5, depth), depth}):
+            assert spec.scaled(n, f) == scaled_values(np.full(n, f))[n - 1]
+        assert spec.value(n) == values(n)[n - 1]
+        assert spec.log_value(n) == log_values(n)[n - 1]
+    for N in sorted({0, 1, min(5, depth), depth}):
         assert np.array_equal(spec.values(N), values(N))
+        assert np.array_equal(spec.log_values(N), log_values(N))
         factors = np.linspace(0.1, 9.0, N)
         assert np.array_equal(spec.scaled_values(factors), scaled_values(factors))
     assert spec.asym == asym
@@ -317,9 +316,34 @@ def test_family_table_is_bit_exact(spec, scaled, log_value, values, scaled_value
 
 @pytest.mark.parametrize("spec", [row[0] for row in FAMILY_REFERENCE], ids=[row[0].family for row in FAMILY_REFERENCE])
 def test_log_values_match_log_value(spec):
-    # np.log and math.log may differ by 1 ulp; a parameter times log n (or
-    # minus log n) can carry that to 2 ulps of the result
     depth = len(_TABLE) if spec.family == "table" else 20000
     vec = spec.log_values(depth)
     ref = np.array([spec.log_value(n) for n in range(1, depth + 1)])
-    assert np.all(np.abs(vec - ref) <= 2 * np.spacing(np.maximum(np.abs(ref), 1.0)))
+    assert np.array_equal(vec, ref)
+
+
+# every family, an overflowing geometric, a table and a custom callable, each with its depth N
+_ELEMENT_SPECS = [
+    (cesaro_scaled(0.7), 100_000),
+    (p_cesaro(1.3), 100_000),
+    (log_reciprocal(), 100_000),
+    (power_weight(0.75), 100_000),
+    (geometric(0.9), 100_000),
+    (geometric(1.01), 100_000),
+    (constant(2.5), 100_000),
+    (table([1.0 / (k + 0.25) for k in range(1, 5001)]), 5000),
+    (custom(_reference_fn), 5000),
+]
+
+
+@pytest.mark.parametrize("spec,N", _ELEMENT_SPECS, ids=[f"{s.family}{s.params}" for s, _ in _ELEMENT_SPECS])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_scalar_methods_read_element_n_of_the_arrays(spec, N, data):
+    n = data.draw(st.integers(1, N), label="n")
+    f = data.draw(st.floats(-1e300, 1e300, allow_nan=False).filter(bool), label="factor")
+    assert spec.value(n) == spec.values(N)[n - 1]
+    assert spec.log_value(n) == spec.log_values(N)[n - 1]
+    factors = np.linspace(0.5, 2.0, N)
+    factors[n - 1] = f
+    assert spec.scaled(n, f) == spec.scaled_values(factors)[n - 1]

@@ -9,7 +9,7 @@ from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
 from terraspec.products import alpha, log_product, ratio_band
 from terraspec.sequences import cesaro_scaled, constant, custom, log_reciprocal, max_index, p_cesaro, power_weight
-from terraspec.sequences import table, verify_weight
+from terraspec.sequences import geometric, table, verify_weight
 from terraspec.spectrum import (
     SCAN_N,
     Evidence,
@@ -176,6 +176,19 @@ class TestAdjointEigvector:
         with pytest.raises(TerraspecError) as exc:
             adjoint_eigvector(0.0, CESARO, 5)
         assert exc.value.code == "zero-not-adjoint-eigenvalue"
+
+    @pytest.mark.parametrize(
+        "a", [p_cesaro(1.3), power_weight(0.75), geometric(0.9), log_reciprocal()], ids=lambda a: a.family
+    )
+    def test_scalar_diagonal_value_truncates(self, a):
+        # lambda = a.value(k) is the very a_k that values() holds, so the factor at k is exactly 0
+        N = 201
+        for k in range(1, N):
+            lam = a.value(k)
+            with np.errstate(over="ignore"):  # geometric entries before k pass the double range
+                x = adjoint_eigvector(lam, a, N)
+            assert np.all(x[k:] == 0.0)
+            assert log_product(a, lam, 0, N).exact_zero
 
     def test_recurrence_with_tail_bound(self):
         # sum_{k>=n} a_k x_k = lambda x_n, checked against the decay rate

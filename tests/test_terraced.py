@@ -8,7 +8,6 @@ from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
 from terraspec.numerics import dyadic_probes
 from terraspec.sequences import (
-    SequenceSpec,
     cesaro_scaled,
     constant,
     custom,
@@ -228,19 +227,10 @@ class TestCriterionScanAgainstKahanLoop:
         assert math.isnan(dict(samples)[3])
         assert sup == 1.0
 
-    def test_parametric_scan_makes_no_scalar_calls(self, monkeypatch):
-        calls = []
-        for name in ("scaled", "log_value", "value"):
-            orig = getattr(SequenceSpec, name)
-
-            def counted(self, *args, _orig=orig, _name=name):
-                calls.append(_name)
-                return _orig(self, *args)
-
-            monkeypatch.setattr(SequenceSpec, name, counted)
+    def test_parametric_scan_makes_no_scalar_calls(self, scalar_calls):
         for mix in ("cesaro_power", "power_pair_bounded", "log_geo_equal", "log_geo_higher"):
             classify_boundedness(*_SCAN_MIXES[mix], 20000)
-        assert calls == []
+        assert scalar_calls == []
 
 
 class TestClassifyBoundedness:
@@ -352,6 +342,12 @@ class TestOperatorNormBounds:
     def test_unbounded_upper_flagged(self):
         lower, upper = operator_norm_bounds(log_reciprocal(), constant(1.0))
         assert math.isinf(upper) and math.isfinite(lower)
+
+    def test_no_scalar_calls(self, scalar_calls):
+        # the upper bound reads 1..1000 and the dyadic probes from one array
+        for a in (cesaro_scaled(1.0), p_cesaro(1.3), custom(lambda n: 1.0 / (n + 0.5))):
+            operator_norm_bounds(a, constant(1.0))
+        assert scalar_calls == []
 
 
 def terraced_entry(a):
