@@ -38,7 +38,6 @@ from .terraced import (
     classify_boundedness,
     conjugate_section,
     criterion_sequence,
-    matrix_bounded_test,
     operator_norm_bounds,
 )
 from .products import BandReport, LogProduct, alpha, log_product, ratio_band

@@ -53,28 +53,31 @@ def check_chi(chi: float) -> None:
 
 
 def compensated_cumsum(values) -> np.ndarray:
-    """Running sums with every rounding error added back (prefix form of Sum2).
+    """Running sums along the last axis with every rounding error added back (prefix form of Sum2).
 
     The sequential sums s_i = fl(s_{i-1} + x_i) come from ``np.cumsum``;
     TwoSum gives the exact error e_i of each step, and s_i + sum_{j<=i} e_j
     is the compensated prefix (Ogita, Rump & Oishi, "Accurate sum and dot
-    product", SIAM J. Sci. Comput. 26(6), 2005).  Once a prefix is not
-    finite the entries from there on are meaningless (NaN or inf).
+    product", SIAM J. Sci. Comput. 26(6), 2005).  Each row of a stacked
+    input is summed on its own, to the same bits as a 1-D call.  Once a
+    prefix is not finite the entries from there on are meaningless (NaN or
+    inf).
     """
     x = np.asarray(values, dtype=float)
-    s = np.cumsum(x)
-    prev = np.concatenate(([0.0], s[:-1]))
-    with np.errstate(invalid="ignore"):  # inf - inf past a non-finite step
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow, then inf - inf past it
+        s = np.cumsum(x, axis=-1)
+        prev = np.zeros_like(s)
+        prev[..., 1:] = s[..., :-1]
         virtual = s - prev
         err = (prev - (s - virtual)) + (x - virtual)
-        return s + np.cumsum(err)
+        return s + np.cumsum(err, axis=-1)
 
 
 def exact_prefix_sums(values) -> np.ndarray:
-    """Exactly rounded prefix sums via fsum; O(n^2), for short sequences.
+    """Exactly rounded prefix sums via fsum; O(n^2).
 
-    Exact rounding makes the prefix map monotone: pointwise-dominated
-    nonnegative inputs give pointwise-dominated prefixes.
+    The reference that tests hold ``compensated_cumsum`` to; the library
+    itself sums with ``compensated_cumsum``.
     """
     values = [float(v) for v in values]
     return np.array([math.fsum(values[: i + 1]) for i in range(len(values))])

@@ -66,9 +66,12 @@ class SequenceSpec:
         return _FAMILIES[self.family].vlog(self, np.arange(1, n_max + 1, dtype=float))
 
     def scaled_values(self, factors: np.ndarray) -> np.ndarray:
-        """Elementwise a_n * factors[n-1] for n = 1..len(factors), division last."""
+        """a_n * factors[..., n-1] for n = 1..N along the last axis, division last.
+
+        Each row of stacked factors gets the same bits as a 1-D call.
+        """
         factors = np.asarray(factors, dtype=float)
-        n = np.arange(1, len(factors) + 1, dtype=float)
+        n = np.arange(1, factors.shape[-1] + 1, dtype=float)
         return _FAMILIES[self.family].vector(self, n, factors)
 
 
@@ -266,6 +269,20 @@ def max_index(spec: SequenceSpec) -> int | None:
     return None if spec.table is None else len(spec.table)
 
 
+def scan_depth(spec: SequenceSpec, n: int, first: int = 1) -> int:
+    """n capped at a table's last index.
+
+    A table that ends before ``first`` (the least depth the caller can
+    use) raises ``index-out-of-range``.
+    """
+    limit = max_index(spec)
+    if limit is None or limit >= n:
+        return n
+    if limit < first:
+        raise TerraspecError("index-out-of-range", f"table has {limit} entries, asked for n={first}")
+    return limit
+
+
 def from_json(obj: dict) -> SequenceSpec:
     """Build a spec from the {"family": ..., "params": {...}} sub-schema."""
     if not isinstance(obj, dict) or "family" not in obj:
@@ -306,14 +323,16 @@ def estimate_chi(a: SequenceSpec, window: tuple[int, int] = (16, 65536)) -> ChiE
     """Estimate chi, refusing sequences whose probes drift or vanish.
 
     Analytic when the attached class is C/n (chi = C, residual merely
-    informational).  Otherwise dyadic probes of n * a_n across the window;
+    informational).  Otherwise dyadic probes of n * a_n across the window,
+    which ends early at the last entry of a table;
     monotone drift beyond 10% between consecutive probes raises
     ``chi-not-convergent`` and an estimate below 1e-9 raises ``chi-zero``.
     """
     n_lo, n_hi = window
     if not (1 <= n_lo < n_hi):
         raise TerraspecError("index-out-of-range", f"bad window {window}")
-    probes = dyadic_probes(n_lo, n_hi)
+    # a table shortens the window; two probes are the least that show a drift
+    probes = dyadic_probes(n_lo, scan_depth(a, n_hi, n_lo + 1))
     if a.asym is not None:
         na_class = mul(a.asym, INDEX)
         lim = limit_class(na_class)

@@ -35,14 +35,9 @@ from .errors import TerraspecError
 from .numerics import TriState, check_chi, classify_limit_trend, divisor, dyadic_probes, finite_lambda
 from .numerics import log_cumprod, vanishes
 from .products import alpha
-from .sequences import SequenceSpec, max_index, verify_weight
+from .sequences import SequenceSpec, scan_depth, verify_weight
 from .terraced import FiniteSection, _freeze
 
-
-def _clamp(spec: SequenceSpec, n: int) -> int:
-    """Cap a scan depth at the sequence's last evaluable index (tables)."""
-    limit = max_index(spec)
-    return n if limit is None else min(n, limit)
 
 #: snap tolerance for membership of a floating lambda in the exact set S
 SNAP_TOL = 1e-13
@@ -146,7 +141,7 @@ def _diagonal(a: SequenceSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(a_1..a_{n_max} capped at a table's end, the snap band SNAP_TOL * |a_k|)."""
     if n_max < 1:
         raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
-    vals = a.values(_clamp(a, n_max))
+    vals = a.values(scan_depth(a, n_max))
     return vals, SNAP_TOL * np.abs(vals)
 
 
@@ -197,13 +192,13 @@ def point_spectrum_test(
 
 def _point_test_at(lam, idx, a, s, chi, ac, n_max) -> ProbeResult:
     """point_spectrum_test for lambda = a_idx, with ac = alpha(lambda) * chi."""
-    if lam.imag == 0.0 and lam.real > chi and verify_weight(s, _clamp(s, 1024)).bounded:
+    if lam.imag == 0.0 and lam.real > chi and verify_weight(s, scan_depth(s, 1024)).bounded:
         return ProbeResult(TriState.YES, f"lambda = a_{idx} > chi, eigen-limit vanishes")
     if a.asym is not None and s.asym is not None:
         cls = mul(mul(a.asym, s.asym), AsymptoticClass(1.0, 1.0, ac, 0.0))
         lim = limit_class(cls)
         return ProbeResult(vanishes(lim), f"class limit of a_n s_n n^{ac:.6g} is {lim.value}")
-    depth = _clamp(s, _clamp(a, n_max))
+    depth = scan_depth(s, scan_depth(a, n_max))
     probes = dyadic_probes(min(16, depth), depth)
     logs = [a.log_value(n) + s.log_value(n) + ac * math.log(n) for n in probes]
     with np.errstate(over="ignore"):  # an overflow to inf reads as growth
@@ -254,7 +249,7 @@ def _adjoint_test_at(lam, s, ac, pos, n_max) -> ProbeResult:
         detail = f"series sum 1/(s_n n^{ac:.6g}) is {sum_cls.verdict.value} (by class)"
         return ProbeResult(TriState.YES if conv else TriState.NO, detail)
     # numeric fallback: log-space partial sums at dyadic n
-    depth = _clamp(s, n_max)
+    depth = scan_depth(s, n_max)
     probes = dyadic_probes(min(16, depth), depth)
     log_terms = -s.log_values(depth) - ac * np.log(np.arange(1, depth + 1))
     log_sums = np.logaddexp.accumulate(log_terms)
@@ -403,9 +398,9 @@ def classify_points(
     """
     lams = [finite_lambda(lam) for lam in lams]
     check_chi(chi)
-    if not verify_weight(s, _clamp(s, 1024)).bounded:
+    if not verify_weight(s, scan_depth(s, 1024)).bounded:
         raise TerraspecError("weight-not-bounded", "spectral classification needs a bounded weight")
-    s_decreasing = verify_weight(s, _clamp(s, min(n_max, 4096))).decreasing
+    s_decreasing = verify_weight(s, scan_depth(s, min(n_max, 4096))).decreasing
     vals, band = _diagonal(a, n_max)
     return [_classify(lam, *_locate(lam, vals, band), a, s, chi, s_decreasing, n_max) for lam in lams]
 

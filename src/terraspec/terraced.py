@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .asymptotics import INDEX, Limit, limit_class, mul, partial_sum_growth, reciprocal
 from .errors import TerraspecError
 from .numerics import TriState, classify_limit_trend, compensated_cumsum, dyadic_probes, vanishes
-from .sequences import SequenceSpec, verify_weight
+from .sequences import SequenceSpec, scan_depth, verify_weight
 
 #: largest n for which every criterion value is kept as a sample
 DENSE_SAMPLE_LIMIT = 1000
@@ -96,7 +94,7 @@ def _criterion_scan(a: SequenceSpec, r: SequenceSpec, s: SequenceSpec, n_max: in
     probes = dyadic_probes(1, n_max)
     # a table a shorter than n_max is read to its end; the scan fails there
     # unless it was truncated first
-    depth = n_max if a.table is None else min(n_max, len(a.table))
+    depth = scan_depth(a, n_max)
     rv, sv = rv[:depth], sv[:depth]
     truncated = False
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -199,60 +197,3 @@ def operator_norm_bounds(
         keep = np.union1d(np.arange(1, min(n_max, DENSE_SAMPLE_LIMIT) + 1), dyadic_probes(1, n_max))
         upper = float(np.max(a.scaled_values(np.arange(1, n_max + 1, dtype=float))[keep - 1]))
     return lower, upper
-
-
-@dataclass(frozen=True)
-class MatrixTestReport:
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    row_samples: tuple[tuple[int, float], ...]
-    column_samples: dict[int, tuple[tuple[int, float], ...]]
-    sup_estimate: float
-
-
-def matrix_bounded_test(
-    entry_fn: Callable[[int, int], complex],
-    r: SequenceSpec,
-    s: SequenceSpec,
-    n_max: int = 4096,
-) -> MatrixTestReport:
-    """Direct two-condition matrix test for a general entry function.
-
-    Probes the weighted row sums sigma_n = s_n * sum_k |entry(n,k)| / r_k
-    and the column decay s_n * entry(n,k) at dyadic n.  Pass needs the row
-    sums to stabilize (or vanish) and every probed column to decay; row
-    growth is a fail; anything the trend heuristic cannot call is
-    inconclusive.
-    """
-    probes = dyadic_probes(8, n_max) if n_max >= 8 else dyadic_probes(1, n_max)
-    log_rv = r.log_values(n_max)
-    sv = s.values(n_max)
-    col_ks = [k for k in (1, 2, 4, 8, 16) if k <= n_max]
-    rows: list[tuple[int, float]] = []
-    cols: dict[int, list[tuple[int, float]]] = {k: [] for k in col_ks}
-    for n in probes:
-        ent = np.abs(np.array([entry_fn(n, k) for k in range(1, n + 1)]))
-        # row sum in log space: |entries|/r_k spans the full double range
-        # for geometric weights
-        with np.errstate(divide="ignore", over="ignore"):
-            log_terms = np.log(ent) - log_rv[:n]
-            sigma = float(np.exp(s.log_value(n) + logsumexp(log_terms)))
-        rows.append((n, sigma))
-        for k in col_ks:
-            if k <= n:
-                cols[k].append((n, float(sv[n - 1] * ent[k - 1])))
-
-    row_trend = classify_limit_trend([v for _, v in rows])
-    # every column has a sample at n_max >= k; a negligible last one counts as decayed
-    col_decay = set()
-    for k in col_ks:
-        vals = [v for _, v in cols[k]]
-        col_decay.add(TriState.YES if vals[-1] <= 1e-8 else vanishes(classify_limit_trend(vals)))
-
-    if row_trend is Limit.INFINITE or TriState.NO in col_decay:
-        verdict = "fail"
-    elif row_trend is None or TriState.INCONCLUSIVE in col_decay:
-        verdict = "inconclusive"
-    else:
-        verdict = "pass"
-    sup = max(v for _, v in rows)
-    return MatrixTestReport(verdict, tuple(rows), {k: tuple(v) for k, v in cols.items()}, sup)

@@ -329,6 +329,13 @@ class TestIdealCommands:
         assert payload["value"] == 2.0
         assert payload["qnorm_normalized"] == "yes"
 
+    def test_qnorm_of_user_values_past_the_double_range(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "ideal_qnorm": {"snumbers": [1e308, 1e308, 1e308]}})
+        out = tmp_path / "qnorm.json"
+        assert run(["ideal-qnorm", "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("terraspec: error: snumbers-overflow: ")
+        assert not out.exists()
+
     def test_axioms_clean(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
@@ -344,6 +351,68 @@ class TestIdealCommands:
         payload = json.loads(out.read_text())
         assert payload["result"]["total_violations"] == 0
         assert payload["seed"] == 77
+
+
+    @pytest.mark.parametrize(
+        "block,bad",
+        [({"dim": 1}, "dim=1"), ({"dim": -2}, "dim=-2"), ({"dim": 0}, "dim=0"), ({"trials": -3}, "trials=-3")],
+    )
+    def test_axioms_bad_trial_shape(self, tmp_path, capsys, block, bad):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "ideal_axioms": block})
+        out = tmp_path / "axioms.json"
+        assert run(["ideal-axioms", "--config", cfg, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("terraspec: error: invalid-trials: ") and bad in err
+        assert not out.exists()
+
+    def test_axioms_zero_trials(self, tmp_path):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "ideal_axioms": {"trials": 0}})
+        out = tmp_path / "axioms.json"
+        assert run(["ideal-axioms", "--config", cfg, "--out", out]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["trials"] == 0 and result["total_violations"] == 0
+
+
+class TestShortTables:
+    """A table shorter than a command's default scan depth is scanned to its end."""
+
+    def test_spectral_commands_estimate_chi_from_a_5000_entry_table(self, tmp_path):
+        # chi used to be probed to n = 65536, past the table's end
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "a": {"family": "table", "params": {"values": [0.7 / (k + 0.5) for k in range(1, 5001)]}},
+                "n_max": 5000,
+                "spectrum_map": {"grid": {"re_range": [-0.2, 1.2], "im_range": [-0.2, 0.2], "resolution": 3}},
+                "point_test": {"lambdas": [0.35, 2.0]},
+                "product_band": {"lambda": 2.0, "n_range": [128, 4096]},
+            },
+        )
+        for command in ("spectrum-map", "point-test", "product-band"):
+            out = tmp_path / f"{command}.json"
+            assert run([command, "--config", cfg, "--out", out]) == 0, command
+        chi = json.loads((tmp_path / "product-band.json").read_text())["result"]["chi"]
+        assert chi == pytest.approx(0.7, rel=1e-3)
+
+    def test_ideal_commands_on_a_100_entry_table(self, tmp_path):
+        # the ideal preconditions used to probe to n = 4096
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "a": {"family": "table", "params": {"values": [1.0 / k for k in range(1, 101)]}},
+                "ideal_qnorm": {"snumbers": [2.0, 1.0, 0.5]},
+                "ideal_axioms": {"trials": 30, "dim": 8},
+            },
+        )
+        for command, key in (("ideal-qnorm", "qnorm_normalized"), ("ideal-axioms", "normalized")):
+            out = tmp_path / f"{command}.json"
+            assert run([command, "--config", cfg, "--out", out]) == 0, command
+            assert json.loads(out.read_text())["result"][key] == "yes"
+
+    def test_classify_past_a_table_end_still_fails(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"a": {"family": "table", "params": {"values": [1.0 / k for k in range(1, 101)]}}})
+        assert run(["classify", "--config", cfg, "--out", tmp_path / "c.json"]) == 1
+        assert capsys.readouterr().err.startswith("terraspec: error: index-out-of-range: table has 100 entries")
 
 
 class TestDeterminism:

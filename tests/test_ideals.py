@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from terraspec import ideals, numerics
 from terraspec.asymptotics import AsymptoticClass
 from terraspec.errors import TerraspecError
 from terraspec.ideals import (
+    AXIOM_TOL,
     IdealFlags,
     SNumberSequence,
     check_quasinorm_axioms,
@@ -18,8 +20,9 @@ from terraspec.ideals import (
     snumbers_from_section,
     stype_membership,
 )
-from terraspec.numerics import TriState, dyadic_probes
-from terraspec.sequences import cesaro_scaled, constant, custom, geometric, power_weight, table
+from terraspec.numerics import TriState, compensated_cumsum, dyadic_probes, exact_prefix_sums
+from terraspec.sequences import cesaro_scaled, constant, custom, geometric, log_reciprocal, p_cesaro
+from terraspec.sequences import power_weight, table
 from terraspec.terraced import build_section
 
 CESARO = cesaro_scaled(1.0)
@@ -111,6 +114,14 @@ class TestQuasiNorm:
         out = quasi_norm(SNumberSequence((0.0, 0.0), "user"), CESARO, UNIT)
         assert out.value == 0.0
 
+    def test_prefix_sum_past_the_double_range(self):
+        # the exactly rounded sums raised a bare OverflowError here
+        snum = SNumberSequence((1e308, 1e308, 1e308), "user")
+        for fn in (quasi_norm, stype_membership):
+            with pytest.raises(TerraspecError) as exc:
+                fn(snum, CESARO, UNIT)
+            assert exc.value.code == "snumbers-overflow"
+
     def test_tail_status_analytic(self):
         snum = SNumberSequence((1.0, 0.0, 0.0, 0.0), "user")
         assert quasi_norm(snum, CESARO, UNIT).tail_status == "analytic_zero"
@@ -159,6 +170,20 @@ class TestIdealPreconditions:
         flags = ideal_preconditions(geometric(2.0), table([1.0] * 4096))
         assert flags == IdealFlags(TriState.NO, TriState.NO, TriState.NO)
 
+    def test_short_table_shortens_the_probes(self):
+        # a 100-entry table used to be probed to 4096
+        harmonic = table([1.0 / k for k in range(1, 101)])
+        assert ideal_preconditions(harmonic, UNIT) == IdealFlags(TriState.YES, TriState.NO, TriState.YES)
+        assert ideal_preconditions(CESARO, harmonic) == IdealFlags(TriState.YES, TriState.YES, TriState.YES)
+
+    @pytest.mark.parametrize("short", ["a", "r"])
+    def test_table_shorter_than_the_first_probe(self, short):
+        pair = {"a": CESARO, "r": UNIT, short: table([1.0, 0.5, 0.25])}
+        with pytest.raises(TerraspecError) as exc:
+            ideal_preconditions(pair["a"], pair["r"])
+        assert exc.value.code == "index-out-of-range"
+        assert "table has 3 entries, asked for n=4" in str(exc.value)
+
     def test_scalar_calls_only_at_probes(self, scalar_calls):
         # the normalisation sup reads one array; only the two probe trends of a classless pair are scalar
         ideal_preconditions(CESARO, UNIT)
@@ -166,6 +191,122 @@ class TestIdealPreconditions:
         assert scalar_calls == []
         ideal_preconditions(custom(lambda n: 1.0 / n), UNIT)
         assert len(scalar_calls) == 2 * len(dyadic_probes(4, 4096))
+
+
+# (a, r) pairs for the harness: normalized and not (lower_bound fires when sup a_i r_i < 1),
+# a long table, a classless custom a, power and geometric weights
+AXIOM_PAIRS = {
+    "cesaro-unit": (CESARO, UNIT),
+    "cesaro-half": (cesaro_scaled(0.5), UNIT),
+    "cesaro-two": (cesaro_scaled(2.0), UNIT),
+    "pcesaro-power": (p_cesaro(1.3), power_weight(0.5)),
+    "table-5000": (table([1.0 / (k + 0.5) for k in range(1, 5001)]), UNIT),
+    "custom": (custom(lambda n: 0.7 / n), UNIT),
+    "cesaro-power": (CESARO, power_weight(0.75)),
+    "log-geometric": (log_reciprocal(), geometric(0.5)),
+    "geometric-unit": (geometric(0.9), UNIT),
+    "constant-cesaro": (constant(0.3), CESARO),
+}
+
+
+def _reference_axioms(trials, dim, a, r, seed):
+    """The per-trial loop the batched harness replaced; Q from exactly rounded prefix sums."""
+    counts = dict.fromkeys(("quasi_triangle", "lower_bound", "lipschitz", "composition", "rank", "additive"), 0)
+
+    def q_of(mat):
+        prefix = exact_prefix_sums(np.linalg.svd(mat, compute_uv=False))
+        return float(np.max(np.abs(a.scaled_values(prefix)) * r.values(len(prefix))))
+
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        phi = rng.uniform(-1.0, 1.0, (dim, dim))
+        psi = rng.uniform(-1.0, 1.0, (dim, dim))
+        zeta = rng.uniform(-1.0, 1.0, (dim, dim))
+        eta = rng.uniform(-1.0, 1.0, (dim, dim))
+        s_phi = np.linalg.svd(phi, compute_uv=False)
+        s_psi = np.linalg.svd(psi, compute_uv=False)
+        q_phi = q_of(phi)
+        q_psi = q_of(psi)
+        if q_of(phi + psi) > 2.0 * (q_phi + q_psi) + AXIOM_TOL:
+            counts["quasi_triangle"] += 1
+        if s_phi[0] > q_phi + AXIOM_TOL:
+            counts["lower_bound"] += 1
+        diff_norm = np.linalg.norm(phi - psi, 2)
+        if np.any(np.abs(s_phi - s_psi) > diff_norm + AXIOM_TOL):
+            counts["lipschitz"] += 1
+        zeta_norm = np.linalg.norm(zeta, 2)
+        eta_norm = np.linalg.norm(eta, 2)
+        if q_of(zeta @ phi @ eta) > zeta_norm * q_phi * eta_norm + AXIOM_TOL:
+            counts["composition"] += 1
+        k = int(rng.integers(1, dim))
+        low_rank = rng.uniform(-1.0, 1.0, (dim, k)) @ rng.uniform(-1.0, 1.0, (k, dim))
+        s_low = np.linalg.svd(low_rank, compute_uv=False)
+        if np.any(s_low[k:] > 1e-10 * s_low[0]):
+            counts["rank"] += 1
+        s_sum = np.linalg.svd(phi + psi, compute_uv=False)
+        m_idx = int(rng.integers(1, dim + 1))
+        n_idx = int(rng.integers(1, dim + 2 - m_idx))
+        if s_sum[m_idx + n_idx - 2] > s_phi[m_idx - 1] + s_psi[n_idx - 1] + AXIOM_TOL:
+            counts["additive"] += 1
+    return counts
+
+
+class TestBatchedAxioms:
+    @pytest.mark.filterwarnings("ignore:quasi-norm is only")
+    @pytest.mark.parametrize("pair", AXIOM_PAIRS)
+    def test_equal_to_the_per_trial_loop(self, pair):
+        a, r = AXIOM_PAIRS[pair]
+        for dim in (2, 3, 5, 8, 12):
+            for seed in range(4):
+                got = check_quasinorm_axioms(60, dim, a, r, seed=seed).violations
+                assert got == _reference_axioms(60, dim, a, r, seed), (dim, seed)
+
+    @pytest.mark.parametrize("pair", AXIOM_PAIRS)
+    def test_q_is_quasi_norm_bit_for_bit(self, pair):
+        # the harness's Q of stacked s-numbers against quasi_norm of each row
+        # and against Q from exactly rounded prefix sums
+        a, r = AXIOM_PAIRS[pair]
+        rng = np.random.default_rng(11)
+        for dim in (2, 5, 8, 12):
+            sv = np.linalg.svd(rng.uniform(-1.0, 1.0, (90, dim, dim)), compute_uv=False)
+            q = ideals._weighted_averages(sv, a, r).max(axis=-1).tolist()
+            assert q == [quasi_norm(SNumberSequence(tuple(map(float, row)), "synthetic"), a, r).value for row in sv]
+            exact = [np.max(np.abs(a.scaled_values(exact_prefix_sums(row))) * r.values(dim)) for row in sv]
+            assert q == exact
+
+    def test_prefix_sums_of_s_numbers_are_exactly_rounded(self):
+        # what lets Q keep the bits of the fsum prefixes it used to take
+        rng = np.random.default_rng(12)
+        trial_sv = np.linalg.svd(rng.uniform(-1.0, 1.0, (1000, 8, 8)), compute_uv=False)
+        assert all(np.array_equal(compensated_cumsum(sv), exact_prefix_sums(sv)) for sv in trial_sv)
+        for n in (16, 64, 200, 512):
+            for a, w in ((CESARO, UNIT), (p_cesaro(1.3), power_weight(0.5)), (log_reciprocal(), geometric(0.9))):
+                sv = snumbers_from_section(build_section(a, n), w, w).values
+                assert np.array_equal(compensated_cumsum(sv), exact_prefix_sums(sv)), (a.family, n)
+
+    def test_no_single_sequence_path_and_fixed_svd_count(self, call_log):
+        single = call_log(ideals, "quasi_norm", "stype_membership", "SNumberSequence")
+        prefix = call_log(numerics, "exact_prefix_sums")
+        svd = call_log(np.linalg, "svd")
+        assert not hasattr(ideals, "exact_prefix_sums")
+        check_quasinorm_axioms(200, 8, CESARO, UNIT)
+        assert single == [] and prefix == []
+        assert len(svd) == 8
+        check_quasinorm_axioms(20, 8, CESARO, UNIT)
+        check_quasinorm_axioms(0, 8, CESARO, UNIT)
+        assert len(svd) == 3 * 8
+
+    @pytest.mark.parametrize("trials,dim", [(5, 1), (5, 0), (5, -2), (-3, 8), (-1, 1)])
+    def test_bad_trial_shapes(self, trials, dim):
+        with pytest.raises(TerraspecError) as exc:
+            check_quasinorm_axioms(trials, dim, CESARO, UNIT)
+        assert exc.value.code == "invalid-trials"
+
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_zero_trials(self, dim):
+        report = check_quasinorm_axioms(0, dim, CESARO, UNIT, seed=3)
+        assert (report.trials, report.dim, report.seed) == (0, dim, 3)
+        assert report.violations == dict.fromkeys(report.violations, 0) and len(report.violations) == 6
 
 
 class TestAxioms:

@@ -46,6 +46,17 @@ def test_compensated_cumsum_never_worse_than_kahan(xs):
     assert np.all(np.abs(comp - exact) <= np.abs(_kahan_cumsum(xs) - exact))
 
 
+@given(st.integers(0, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.floats(-1e300, 1e300), min_size=cols, max_size=cols), max_size=5)
+    .map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), cols))
+))
+def test_compensated_cumsum_works_row_by_row(xs):
+    got = compensated_cumsum(xs)
+    assert got.shape == xs.shape
+    for row, want in zip(got, xs):
+        assert np.array_equal(compensated_cumsum(want), row, equal_nan=True)
+
+
 def test_compensated_cumsum_recovers_lost_terms():
     xs = [1.0] + [1e-16] * 1000
     assert compensated_cumsum(xs)[-1] == exact_prefix_sums(xs)[-1] != np.cumsum(xs)[-1]

@@ -19,6 +19,7 @@ from terraspec.sequences import (
     make_family,
     p_cesaro,
     power_weight,
+    scan_depth,
     table,
     to_json,
     verify_weight,
@@ -163,6 +164,35 @@ class TestEstimateChi:
         rng = np.random.default_rng(7)
         for chi in rng.uniform(1e-6, 10.0, size=20):
             assert estimate_chi(cesaro_scaled(float(chi))).chi == float(chi)
+
+    def test_window_ends_at_a_table_end(self):
+        # the default window reaches 65536; a 5000-entry table is probed to its last entry
+        est = estimate_chi(table([0.7 / k for k in range(1, 5001)]))
+        assert est.method == "numeric" and est.chi == pytest.approx(0.7, rel=1e-15)
+
+    @pytest.mark.parametrize("length", [1, 10, 16])
+    def test_table_shorter_than_two_probes(self, length):
+        with pytest.raises(TerraspecError) as exc:
+            estimate_chi(table([1.0 / k for k in range(1, length + 1)]))
+        assert exc.value.code == "index-out-of-range"
+        assert f"table has {length} entries, asked for n=17" in str(exc.value)
+
+
+class TestScanDepth:
+    def test_unlimited_families_keep_the_depth(self):
+        assert scan_depth(cesaro_scaled(1.0), 10**6) == 10**6
+        assert scan_depth(custom(lambda n: 1.0 / n), 7, 4) == 7
+
+    def test_table_caps_the_depth(self):
+        t = table([1.0] * 100)
+        assert [scan_depth(t, n) for n in (1, 99, 100, 101, 4096)] == [1, 99, 100, 100, 100]
+        assert scan_depth(t, 4096, 100) == 100
+
+    def test_table_ending_before_the_first_index(self):
+        with pytest.raises(TerraspecError) as exc:
+            scan_depth(table([1.0] * 3), 4096, 4)
+        assert exc.value.code == "index-out-of-range"
+        assert "table has 3 entries, asked for n=4" in str(exc.value)
 
 
 class TestVerifyWeight:
@@ -347,3 +377,17 @@ def test_scalar_methods_read_element_n_of_the_arrays(spec, N, data):
     factors = np.linspace(0.5, 2.0, N)
     factors[n - 1] = f
     assert spec.scaled(n, f) == spec.scaled_values(factors)[n - 1]
+
+
+@pytest.mark.parametrize("spec,N", _ELEMENT_SPECS, ids=[f"{s.family}{s.params}" for s, _ in _ELEMENT_SPECS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_scaled_values_works_row_by_row(spec, N, data):
+    rows = data.draw(st.integers(0, 4), label="rows")
+    cols = data.draw(st.integers(0, min(N, 64)), label="cols")
+    row = st.lists(st.floats(-1e300, 1e300, allow_nan=False), min_size=cols, max_size=cols)
+    factors = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)), dtype=float).reshape(rows, cols)
+    got = spec.scaled_values(factors)
+    assert got.shape == (rows, cols)
+    for row, want in zip(got, factors):
+        assert np.array_equal(row, spec.scaled_values(want))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -562,22 +563,12 @@ class TestClassifyPointsAgainstReference:
         assert [repr(p) for p in got] == [repr(p) for p in want]
         assert Label.BOUNDARY_UNKNOWN in {p.label for p in got}
 
-    def test_one_disk_position_and_alpha_per_point(self, monkeypatch):
-        calls = {"alpha": 0, "disk_position": 0, "_disk_position": 0}
-
-        def counted(name):
-            fn = getattr(spectrum, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(spectrum, name, counted(name))
+    def test_one_disk_position_and_alpha_per_point(self, call_log):
+        log = call_log(spectrum, "alpha", "disk_position", "_disk_position")
         lams = _probe_lambdas(CESARO, 1.0, 2000)
         points = classify_points(lams, CESARO, power_weight(1.5), 1.0)
         nonzero = sum(lam != 0 for lam in lams)
+        calls = Counter(name for name, _ in log)
         assert {p.label for p in points} >= {Label.RESOLVENT, Label.RESIDUAL, Label.POINT}
         assert calls["alpha"] <= nonzero and calls["disk_position"] + calls["_disk_position"] <= nonzero
 

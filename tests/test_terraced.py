@@ -1,13 +1,16 @@
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from terraspec.asymptotics import Limit, limit_class
 from terraspec.errors import TerraspecError
-from terraspec.numerics import TriState
-from terraspec.numerics import dyadic_probes
+from terraspec.numerics import TriState, classify_limit_trend, dyadic_probes, vanishes
 from terraspec.sequences import (
+    SequenceSpec,
     cesaro_scaled,
     constant,
     custom,
@@ -25,7 +28,6 @@ from terraspec.terraced import (
     classify_boundedness,
     conjugate_section,
     criterion_sequence,
-    matrix_bounded_test,
     operator_norm_bounds,
 )
 
@@ -348,6 +350,65 @@ class TestOperatorNormBounds:
         for a in (cesaro_scaled(1.0), p_cesaro(1.3), custom(lambda n: 1.0 / (n + 0.5))):
             operator_norm_bounds(a, constant(1.0))
         assert scalar_calls == []
+
+
+@dataclass(frozen=True)
+class MatrixTestReport:
+    verdict: str  # "pass" | "fail" | "inconclusive"
+    row_samples: tuple[tuple[int, float], ...]
+    column_samples: dict[int, tuple[tuple[int, float], ...]]
+    sup_estimate: float
+
+
+def matrix_bounded_test(
+    entry_fn: Callable[[int, int], complex],
+    r: SequenceSpec,
+    s: SequenceSpec,
+    n_max: int = 4096,
+) -> MatrixTestReport:
+    """Direct two-condition matrix test for a general entry function.
+
+    The oracle that ``classify_boundedness`` is checked against.
+
+    Probes the weighted row sums sigma_n = s_n * sum_k |entry(n,k)| / r_k
+    and the column decay s_n * entry(n,k) at dyadic n.  Pass needs the row
+    sums to stabilize (or vanish) and every probed column to decay; row
+    growth is a fail; anything the trend heuristic cannot call is
+    inconclusive.
+    """
+    probes = dyadic_probes(8, n_max) if n_max >= 8 else dyadic_probes(1, n_max)
+    log_rv = r.log_values(n_max)
+    sv = s.values(n_max)
+    col_ks = [k for k in (1, 2, 4, 8, 16) if k <= n_max]
+    rows: list[tuple[int, float]] = []
+    cols: dict[int, list[tuple[int, float]]] = {k: [] for k in col_ks}
+    for n in probes:
+        ent = np.abs(np.array([entry_fn(n, k) for k in range(1, n + 1)]))
+        # row sum in log space: |entries|/r_k spans the full double range
+        # for geometric weights
+        with np.errstate(divide="ignore", over="ignore"):
+            log_terms = np.log(ent) - log_rv[:n]
+            sigma = float(np.exp(s.log_value(n) + logsumexp(log_terms)))
+        rows.append((n, sigma))
+        for k in col_ks:
+            if k <= n:
+                cols[k].append((n, float(sv[n - 1] * ent[k - 1])))
+
+    row_trend = classify_limit_trend([v for _, v in rows])
+    # every column has a sample at n_max >= k; a negligible last one counts as decayed
+    col_decay = set()
+    for k in col_ks:
+        vals = [v for _, v in cols[k]]
+        col_decay.add(TriState.YES if vals[-1] <= 1e-8 else vanishes(classify_limit_trend(vals)))
+
+    if row_trend is Limit.INFINITE or TriState.NO in col_decay:
+        verdict = "fail"
+    elif row_trend is None or TriState.INCONCLUSIVE in col_decay:
+        verdict = "inconclusive"
+    else:
+        verdict = "pass"
+    sup = max(v for _, v in rows)
+    return MatrixTestReport(verdict, tuple(rows), {k: tuple(v) for k, v in cols.items()}, sup)
 
 
 def terraced_entry(a):
