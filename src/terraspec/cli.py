@@ -36,8 +36,14 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: types json.dumps writes as they are; most nodes of a report are these leaves
+_JSON_LEAVES = frozenset({str, float, int, bool, type(None)})
+
+
 def _json_ready(obj):
     """Recursively convert report objects to JSON-serializable values."""
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

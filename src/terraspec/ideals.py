@@ -249,7 +249,11 @@ def inclusion_check(
     a: SequenceSpec,
     n_max: int = 4096,
 ) -> InclusionReport:
-    """r_n <= t_n makes every t-class member an r-class member."""
+    """r_n <= t_n makes every t-class member an r-class member.
+
+    A table r or t shortens the order check to its last entry.
+    """
+    n_max = scan_depth(t, scan_depth(r, n_max))
     rv = r.values(n_max)
     tv = t.values(n_max)
     if np.any(rv > tv):
@@ -275,11 +279,13 @@ def chi_space_membership(v, a: SequenceSpec, r: SequenceSpec, n_max: int = 4096)
     """Does the image sequence a_i * (v_1 + ... + v_i) * r_i tend to 0.
 
     ``v`` is either a finite vector (prefix sums constant past its end) or
-    a SequenceSpec decided by class algebra / probing.
+    a SequenceSpec decided by class algebra / probing.  A table a, r or v
+    shortens the probes to its last entry.
     """
     if isinstance(v, SequenceSpec):
         lim = _class_limit(v.asym, a, r)
         if lim is None:
+            n_max = scan_depth(v, scan_depth(r, scan_depth(a, n_max, 4), 4), 4)
             probes = dyadic_probes(4, n_max)
             vv = v.values(n_max)
             rv = r.values(n_max)
@@ -291,5 +297,6 @@ def chi_space_membership(v, a: SequenceSpec, r: SequenceSpec, n_max: int = 4096)
         return TriState.YES
     if a.asym is not None and r.asym is not None:
         return vanishes(limit_class(mul(a.asym, r.asym)))
+    n_max = scan_depth(r, scan_depth(a, n_max, 4), 4)
     samples = [abs(a.scaled(n, abs(total))) * r.value(n) for n in dyadic_probes(4, n_max)]
     return vanishes(classify_limit_trend(samples))

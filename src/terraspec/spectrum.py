@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -128,32 +129,68 @@ def dist_to_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> tuple[float
 
     The closure adds the accumulation point 0 (a_n -> 0 under the chi
     hypothesis); index 0 denotes that point, diagonal indices are 1-based.
+    On equal distances the smaller index wins, and 0 wins only when it is
+    strictly nearer than every scanned a_k.
     """
-    return _locate(finite_lambda(lam), *_diagonal(a, n_max))[:2]
+    return _locate([finite_lambda(lam)], *_diagonal(a, n_max))[0][:2]
 
 
 def find_in_S(lam: complex, a: SequenceSpec, n_max: int = SCAN_N) -> int | None:
     """First 1-based index with a_k = lambda (exact or within the snap band)."""
-    return _locate(finite_lambda(lam), *_diagonal(a, n_max))[2]
+    return _locate([finite_lambda(lam)], *_diagonal(a, n_max))[0][2]
 
 
 def _diagonal(a: SequenceSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_1..a_{n_max} capped at a table's end, the snap band SNAP_TOL * |a_k|)."""
+    """(a_1..a_{n_max} capped at a table's end, its stable argsort)."""
     if n_max < 1:
         raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
-    vals = a.values(scan_depth(a, n_max))
-    return vals, SNAP_TOL * np.abs(vals)
+    depth = scan_depth(a, n_max)
+    return a.values(depth), _diagonal_order(a, depth)
 
 
-def _locate(lam: complex, vals: np.ndarray, band: np.ndarray) -> tuple[float, int, int | None]:
-    """dist_to_S's pair and the first 1-based k with |lambda - a_k| <= band[k-1], in one pass."""
-    diffs = np.abs(lam - vals)
-    k = int(np.argmin(diffs))
-    h = int(np.argmax(diffs <= band))
-    hit = h + 1 if diffs[h] <= band[h] else None
-    if abs(lam) < diffs[k]:
-        return abs(lam), 0, hit
-    return float(diffs[k]), k + 1, hit
+@lru_cache(maxsize=1)
+def _diagonal_order(a: SequenceSpec, depth: int) -> np.ndarray:
+    """The stable argsort of a_1..a_depth, kept for the last diagonal.
+
+    Callers that test one lambda at a time (point-test makes two calls per
+    lambda) ask for the same diagonal again and skip the sort.
+    """
+    order = np.argsort(a.values(depth), kind="stable")
+    order.setflags(write=False)
+    return order
+
+
+def _locate(lams: list[complex], vals: np.ndarray, order: np.ndarray) -> list[tuple[float, int, int | None]]:
+    """dist_to_S's pair and find_in_S's index for each lambda; ``order`` sorts ``vals``.
+
+    The diagonal is real, so the a_k nearest to lambda is one of the two
+    sorted values around Re(lambda); each stands for the first index of
+    its run of equal values.  A snap hit lies within
+    2 * SNAP_TOL * |Re(lambda)| of Re(lambda), and that window (widened by
+    the least subnormal, which keeps a_k = 0.0 in the window of
+    Re(lambda) = 0) gets the exact band test of _diagonal_hits.
+    """
+    z = np.array(lams, dtype=complex)
+    re = z.real
+    width = 2.0 * SNAP_TOL * np.abs(re) + np.finfo(float).smallest_subnormal
+    keys = np.concatenate((re, re - width, re + width))
+    pos, lo, hi = np.searchsorted(vals, keys, sorter=order).reshape(3, -1)
+    # the neighbours below and above Re(lambda) as 0-based indices, each the first of its
+    # run of equal values (searchsorted already gives that for the one above)
+    near = order[np.stack((np.maximum(pos - 1, 0), np.minimum(pos, len(vals) - 1)))]
+    near[0] = order[np.searchsorted(vals, vals[near[0]], sorter=order)]
+    dists = np.abs(z - vals[near]).tolist()
+    out = []
+    for lam, db, da, kb, ka, i, j in zip(lams, *dists, *near.tolist(), lo.tolist(), hi.tolist()):
+        d, k = (da, ka) if da < db or (da == db and ka < kb) else (db, kb)
+        window = order[i:j]
+        hits = window[_diagonal_hits(lam, vals[window])].tolist() if i < j else []
+        hit = min(hits) + 1 if hits else None
+        if abs(lam) < d:
+            out.append((abs(lam), 0, hit))
+        else:
+            out.append((d, k + 1, hit))
+    return out
 
 
 def _diagonal_hits(lam: complex, vals: np.ndarray) -> np.ndarray:
@@ -191,8 +228,15 @@ def point_spectrum_test(
 
 
 def _point_test_at(lam, idx, a, s, chi, ac, n_max) -> ProbeResult:
-    """point_spectrum_test for lambda = a_idx, with ac = alpha(lambda) * chi."""
-    if lam.imag == 0.0 and lam.real > chi and verify_weight(s, scan_depth(s, 1024)).bounded:
+    """point_spectrum_test for lambda snapped to a_idx, with ac = alpha(lambda) * chi.
+
+    The test runs at the diagonal value a_idx itself, so a lambda within the
+    snap band of a_idx gets the answer of a_idx.
+    """
+    a_k = a.value(idx)
+    if a_k != lam:
+        ac = alpha(a_k) * chi
+    if a_k > chi and verify_weight(s, scan_depth(s, 1024)).bounded:
         return ProbeResult(TriState.YES, f"lambda = a_{idx} > chi, eigen-limit vanishes")
     if a.asym is not None and s.asym is not None:
         cls = mul(mul(a.asym, s.asym), AsymptoticClass(1.0, 1.0, ac, 0.0))
@@ -236,13 +280,17 @@ def adjoint_point_test(
 
 
 def _adjoint_test_at(lam, s, ac, pos, n_max) -> ProbeResult:
-    """adjoint_point_test off S u {0}, given ac = alpha(lambda) * chi and the disk position."""
+    """adjoint_point_test off S u {0}, given ac = alpha(lambda) * chi and the disk position.
+
+    A lambda within SNAP_TOL of 0 lies in the circle's boundary band unless
+    chi < 0.2; only such an interior point is unsupported.
+    """
+    if pos in ("exterior", "boundary"):
+        return ProbeResult(TriState.NO, f"disk position {pos}: outside the open-disk bound")
     if abs(lam) <= SNAP_TOL:
         raise TerraspecError(
             "closure-boundary-unsupported", "lambda sits at the accumulation point of S"
         )
-    if pos in ("exterior", "boundary"):
-        return ProbeResult(TriState.NO, f"disk position {pos}: outside the open-disk bound")
     sum_cls = _adjoint_series_class(s, ac)
     if sum_cls is not None and sum_cls.verdict is not Verdict.UNDECIDED_BOUNDARY:
         conv = sum_cls.verdict is Verdict.CONVERGENT
@@ -401,8 +449,8 @@ def classify_points(
     if not verify_weight(s, scan_depth(s, 1024)).bounded:
         raise TerraspecError("weight-not-bounded", "spectral classification needs a bounded weight")
     s_decreasing = verify_weight(s, scan_depth(s, min(n_max, 4096))).decreasing
-    vals, band = _diagonal(a, n_max)
-    return [_classify(lam, *_locate(lam, vals, band), a, s, chi, s_decreasing, n_max) for lam in lams]
+    located = _locate(lams, *_diagonal(a, n_max))
+    return [_classify(lam, *loc, a, s, chi, s_decreasing, n_max) for lam, loc in zip(lams, located)]
 
 
 def _classify(lam, dist, nearest, idx, a, s, chi, s_decreasing, n_max) -> SpectralPoint:

@@ -392,8 +392,39 @@ class TestInclusion:
             inclusion_check(UNIT, geometric(0.5), [], CESARO)
         assert exc.value.code == "weights-not-ordered"
 
+    def test_short_table_weights(self):
+        # the order check used to ask a 100-entry table for n = 4096
+        samples = self.synthetic_samples(10, 9)
+        report = inclusion_check(_HARMONIC_100, UNIT, samples, CESARO)
+        assert report.checked == 10 and report.violations == ()
+        assert inclusion_check(geometric(0.5), _HARMONIC_100, [], CESARO).checked == 0
+        with pytest.raises(TerraspecError) as exc:
+            inclusion_check(UNIT, _HARMONIC_100, [], CESARO)
+        assert exc.value.code == "weights-not-ordered"
+
+
+_HARMONIC_100 = table([1.0 / k for k in range(1, 101)])
+
 
 class TestChiSpaceMembership:
+    @pytest.mark.parametrize(
+        "v,a,r,expected",
+        [
+            (power_weight(2.0), _HARMONIC_100, UNIT, TriState.YES),
+            (power_weight(2.0), CESARO, _HARMONIC_100, TriState.YES),
+            (_HARMONIC_100, CESARO, UNIT, TriState.YES),
+            (custom(lambda k: 1.0), _HARMONIC_100, UNIT, TriState.NO),
+            (np.array([1.0, 0.0, 0.0]), _HARMONIC_100, UNIT, TriState.YES),
+            (np.array([1.0, 0.0, 0.0]), UNIT, _HARMONIC_100, TriState.YES),
+            (np.array([1.0, 0.0, 0.0]), UNIT, table([1.0] * 100), TriState.NO),
+        ],
+        ids=["spec-table-a", "spec-table-r", "table-v", "ones-table-a", "vector-table-a", "vector-table-r",
+             "vector-flat-table-r"],
+    )
+    def test_short_tables_cap_the_probes(self, v, a, r, expected):
+        # the probes used to ask a 100-entry table for n = 4096 (spec v) or n = 128 (vector v)
+        assert chi_space_membership(v, a, r) is expected
+
     def test_first_basis_vector(self):
         # prefix sums are 1 forever, so membership is lim a_i r_i = 0
         assert chi_space_membership(np.array([1.0, 0.0, 0.0]), CESARO, UNIT) is TriState.YES

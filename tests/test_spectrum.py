@@ -4,13 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from terraspec import spectrum
 from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
 from terraspec.products import alpha, log_product, ratio_band
 from terraspec.sequences import cesaro_scaled, constant, custom, log_reciprocal, max_index, p_cesaro, power_weight
-from terraspec.sequences import geometric, table, verify_weight
+from terraspec.sequences import geometric, scan_depth, table, verify_weight
 from terraspec.spectrum import (
     SCAN_N,
     Evidence,
@@ -225,9 +227,17 @@ class TestAdjointPointTest:
         assert adjoint_point_test(0.0, CESARO, UNIT, 1.0).outcome is TriState.NO
 
     def test_accumulation_point_unsupported(self):
+        # only chi < 0.2 puts a lambda within SNAP_TOL of 0 inside the open disk
         with pytest.raises(TerraspecError) as exc:
-            adjoint_point_test(1e-14, CESARO, UNIT, 1.0)
+            adjoint_point_test(5e-14, CESARO, UNIT, 0.01)
         assert exc.value.code == "closure-boundary-unsupported"
+
+    @pytest.mark.parametrize("lam", [1e-14, -1e-14, 2.8e-17, complex(3e-14, 4e-14)])
+    @pytest.mark.parametrize("chi", [0.2, 0.7, 1.0, 2.0])
+    def test_tiny_lambda_on_the_circle_band_is_no(self, lam, chi):
+        assert disk_position(lam, chi) == "boundary"
+        out = adjoint_point_test(lam, CESARO, UNIT, chi)
+        assert out == ProbeResult(TriState.NO, "disk position boundary: outside the open-disk bound")
 
 
 class TestResolventSection:
@@ -471,16 +481,28 @@ def test_non_finite_lambda_rejected(entry, lam):
     assert exc.value.code == "lambda-not-finite"
 
 
+def _reference_locate(lam, a, n_max=SCAN_N):
+    """The O(n_max) pass per point that _locate replaced: (dist, nearest, first snap hit)."""
+    vals = a.values(scan_depth(a, n_max))
+    band = spectrum.SNAP_TOL * np.abs(vals)
+    diffs = np.abs(lam - vals)
+    k = int(np.argmin(diffs))
+    h = int(np.argmax(diffs <= band))
+    hit = h + 1 if diffs[h] <= band[h] else None
+    if abs(lam) < diffs[k]:
+        return abs(lam), 0, hit
+    return float(diffs[k]), k + 1, hit
+
+
 def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N):
-    """The per-point decision tree classify_points replaced, built from the public tests.
+    """The per-point decision tree classify_points replaced, on the reference locate pass.
 
     Only bounded weights are passed here, so the boundedness check is left out.
     """
     lam = complex(lam)
     depth = min(n_max, 4096) if max_index(s) is None else min(n_max, 4096, max_index(s))
     s_decreasing = verify_weight(s, depth).decreasing
-    dist, nearest = dist_to_S(lam, a, n_max)
-    idx = find_in_S(lam, a, n_max)
+    dist, nearest, idx = _reference_locate(lam, a, n_max)
     in_s = idx is not None
     if lam == 0:
         ev = Evidence(
@@ -491,11 +513,11 @@ def _reference_classify_point(lam, a, s, chi, *, n_max=SCAN_N):
     al = alpha(lam)
     pos = disk_position(lam, chi)
     if in_s:
-        a1 = point_spectrum_test(lam, a, s, chi, n_max=n_max)
+        a1 = spectrum._point_test_at(lam, idx, a, s, chi, al * chi, n_max)
         a2 = ProbeResult(TriState.NO, "lambda in S: excluded from the adjoint series set")
     else:
         a1 = ProbeResult(TriState.NO, "lambda not in S")
-        a2 = adjoint_point_test(lam, a, s, chi, n_max=n_max)
+        a2 = spectrum._adjoint_test_at(lam, s, al * chi, pos, n_max)
     if a1.outcome is TriState.YES:
         label = Label.POINT
     elif in_s:
@@ -568,30 +590,155 @@ class TestClassifyPointsAgainstReference:
         lams = _probe_lambdas(CESARO, 1.0, 2000)
         points = classify_points(lams, CESARO, power_weight(1.5), 1.0)
         nonzero = sum(lam != 0 for lam in lams)
+        # A1 of a lambda in the snap band of a_k != lambda runs at alpha(a_k)
+        snapped = sum(p.evidence.in_S and p.lam != CESARO.value(p.evidence.s_index) for p in points)
         calls = Counter(name for name, _ in log)
         assert {p.label for p in points} >= {Label.RESOLVENT, Label.RESIDUAL, Label.POINT}
-        assert calls["alpha"] <= nonzero and calls["disk_position"] + calls["_disk_position"] <= nonzero
+        assert snapped > 0 and calls["alpha"] <= nonzero + snapped
+        assert calls["disk_position"] + calls["_disk_position"] <= nonzero
 
     def test_single_point_is_classify_point(self):
         lams = _probe_lambdas(CESARO, 1.0, 100)
         assert classify_points(lams, CESARO, UNIT, 1.0) == [classify_point(lam, CESARO, UNIT, 1.0) for lam in lams]
 
     @pytest.mark.parametrize(
-        "lams,code",
+        "lams,chi,code",
         [
-            ([0.4, 1e-14], "closure-boundary-unsupported"),
-            ([0.4, math.nan], "lambda-not-finite"),
+            ([0.4, 5e-14], 0.01, "closure-boundary-unsupported"),
+            ([0.4, math.nan], 1.0, "lambda-not-finite"),
         ],
+        ids=["lams0-closure-boundary-unsupported", "lams1-lambda-not-finite"],
     )
-    def test_one_bad_point_fails_the_list(self, lams, code):
+    def test_one_bad_point_fails_the_list(self, lams, chi, code):
         with pytest.raises(TerraspecError) as exc:
-            classify_points(lams, CESARO, UNIT, 1.0)
+            classify_points(lams, CESARO, UNIT, chi)
         assert exc.value.code == code
 
     def test_unbounded_weight_rejected(self):
         with pytest.raises(TerraspecError) as exc:
             classify_points([0.4], CESARO, power_weight(-1.0), 1.0)
         assert exc.value.code == "weight-not-bounded"
+
+
+# tables with repeated values and out of order, and a custom diagonal that is not monotone
+_REPEATS = table([1.0, 0.5, 0.5, 0.25, 0.25, 0.25] + [1.0 / n for n in range(7, 200)] + [0.1] * 50)
+_SHUFFLED = table(list(np.random.default_rng(11).permutation([1.0 / (1 + n % 97) for n in range(3000)])))
+LOCATE_SPECS = {
+    "cesaro_0.7": (cesaro_scaled(0.7), 0.7),
+    "p_cesaro_1.3": (p_cesaro(1.3), 1.0),
+    "power_weight_0.75": (power_weight(0.75), 1.0),
+    "log_reciprocal": (log_reciprocal(), 1.0),
+    "constant_0.3": (constant(0.3), 0.3),
+    "table": (_TABLE_A, 1.0),
+    "repeats": (_REPEATS, 1.0),
+    "shuffled": (_SHUFFLED, 1.0),
+    "custom": (custom(lambda n: 0.8 / n + 0.1 / n**2), 0.8),
+    "custom_zigzag": (custom(lambda n: (1.0 + 0.5 * (-1) ** n) / n), 1.0),
+}
+
+
+@st.composite
+def _locate_lambdas(draw, a, chi, depth):
+    """Grid nodes, a_k, a_k(1 +- 5e-14), a_k(1 + 5e-13), a_k + 1e-15i and 0."""
+    grid = GridSpec((-0.5 * chi, 1.5 * chi), (-0.5 * chi, 0.5 * chi), (41, 41))
+    re, im = grid.re_values(), grid.im_values()
+    node = st.builds(lambda i, j: complex(re[i], im[j]), st.integers(0, 40), st.integers(0, 40))
+    k = st.one_of(st.integers(1, min(depth, 12)), st.integers(1, depth))
+    near = st.builds(
+        lambda k, f: f(a.value(k)),
+        k,
+        st.sampled_from([
+            complex, lambda v: v * (1 + 5e-14), lambda v: v * (1 - 5e-14),
+            lambda v: v * (1 + 5e-13), lambda v: complex(v, 1e-15),
+        ]),
+    )
+    return draw(st.lists(st.one_of(node, near, st.just(0j)), min_size=1, max_size=24))
+
+
+class TestLocate:
+    @pytest.mark.parametrize("name", LOCATE_SPECS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_pass(self, name, data):
+        a, chi = LOCATE_SPECS[name]
+        n_max = data.draw(st.sampled_from([1, 7, 600, SCAN_N]), label="n_max")
+        depth = scan_depth(a, n_max)
+        lams = data.draw(_locate_lambdas(a, chi, depth), label="lams")
+        vals, order = spectrum._diagonal(a, n_max)
+        assert np.array_equal(order, np.argsort(vals, kind="stable"))
+        got = spectrum._locate(lams, vals, order)
+        for lam, (dist, nearest, hit) in zip(lams, got):
+            want_dist, want_nearest, want_hit = _reference_locate(lam, a, n_max)
+            assert hit == want_hit
+            assert dist == want_dist and type(dist) is float
+            if nearest != want_nearest:
+                # the two candidates lie at the same float distance; the reference took the first
+                assert 0 < want_nearest < nearest
+                assert np.abs(lam - vals[nearest - 1]) == np.abs(lam - vals[want_nearest - 1])
+            assert (dist, nearest) == dist_to_S(lam, a, n_max) and hit == find_in_S(lam, a, n_max)
+
+    def test_equal_distances_keep_the_smaller_index(self):
+        a = table([1.0, 0.5, 0.25])
+        assert dist_to_S(0.75, a) == (0.25, 1)
+        assert dist_to_S(0.375, a) == (0.125, 2)
+        assert dist_to_S(complex(0.75, 0.5), a) == (abs(complex(0.25, 0.5)), 1)
+
+    def test_zero_wins_only_when_strictly_nearer(self):
+        a = table([0.5, 1.0])
+        assert dist_to_S(0.25, a) == (0.25, 1)
+        assert dist_to_S(0.2, a) == (0.2, 0)
+        assert dist_to_S(complex(0.0, 0.25), a) == (0.25, 0)
+
+    def test_first_hit_among_repeats(self):
+        # a_4 = a_5 and a_250.. repeat 0.1 = a_10; the first index is reported
+        assert find_in_S(0.25, _TABLE_A) == 4
+        assert find_in_S(0.25 * (1 + 5e-14), _REPEATS) == 4
+        assert find_in_S(0.1, _REPEATS) == 10
+        assert find_in_S(0.3, constant(0.3)) == 1
+        assert find_in_S(0.3 * (1 + 5e-13), constant(0.3)) is None
+        # two distinct values in one snap band: the least index, not the least value
+        close = table([1.0, 1.0 - 5e-14, 0.5])
+        assert find_in_S(1.0 - 2.5e-14, close) == 1 == _reference_locate(1.0 - 2.5e-14, close)[2]
+        # geometric(0.5) underflows to 0.0 from a_1075 on: lambda = 0 matches it exactly
+        assert find_in_S(0.0, geometric(0.5)) == 1075 and dist_to_S(0.0, geometric(0.5)) == (0.0, 1075)
+
+    def test_one_locate_and_one_sort_per_call(self, call_log):
+        spectrum._diagonal_order.cache_clear()
+        locates = call_log(spectrum, "_locate")
+        sorts = call_log(np, "argsort")
+        a = cesaro_scaled(0.7)
+        grid = GridSpec((-0.35, 1.05), (-0.5, 0.5), (41, 41))
+        points = spectrum_grid(a, power_weight(1.5), 0.7, grid)
+        assert len(points) == 1681
+        assert [len(args[0]) for _, args in locates] == [1681]
+        assert len(sorts) == 1
+        # one lambda at a time on the same diagonal reuses the sort
+        for lam in (0.35, 0.3 + 0.2j):
+            point_spectrum_test(lam, a, UNIT, 0.7)
+            adjoint_point_test(lam, a, UNIT, 0.7)
+        assert len(locates) == 5 and len(sorts) == 1
+
+
+class TestClosureBoundary:
+    README_GRID = GridSpec((-0.175, 0.875), (-0.525, 0.525), (13, 13))
+
+    def test_grid_node_next_to_zero_is_labelled(self):
+        points = spectrum_grid(cesaro_scaled(0.7), UNIT, 0.7, self.README_GRID)
+        tiny = [p for p in points if 0 < abs(p.lam) <= spectrum.SNAP_TOL]
+        assert len(tiny) == 1 and abs(tiny[0].lam) < 1e-16
+        ev = tiny[0].evidence
+        assert tiny[0].label is Label.BOUNDARY_UNKNOWN
+        assert (ev.disk_position, ev.in_S, ev.a1, ev.a2) == ("boundary", False, TriState.NO, TriState.NO)
+
+    def test_snapped_lambda_is_tested_at_its_diagonal_value(self):
+        # 0.7000000000000002 snaps to a_1 = chi = 0.7, where alpha * chi = 1 and a_n n -> chi
+        a = cesaro_scaled(0.7)
+        lam = 0.7000000000000002
+        assert lam > 0.7 and find_in_S(lam, a) == 1
+        assert point_spectrum_test(lam, a, UNIT, 0.7) == point_spectrum_test(0.7, a, UNIT, 0.7)
+        assert point_spectrum_test(lam, a, UNIT, 0.7).outcome is TriState.NO
+        pt = classify_point(lam, a, UNIT, 0.7)
+        assert (pt.label, pt.evidence.a1) == (Label.RESIDUAL, TriState.NO)
 
 
 class TestSpectrumGrid:
