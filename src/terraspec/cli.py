@@ -155,11 +155,11 @@ def _chi(cfg: dict, a: sequences.SequenceSpec) -> float:
 
 
 def _lambda(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return _number(lambda v: complex(float(v[0]), float(v[1])), value, "lambda")
-    raise ConfigError(f"lambda must be a number or [re, im], got {value!r}")
+    """A JSON number or an [re, im] pair of numbers; a bool, a string or another shape is a config error."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        raise ConfigError(f"lambda must be a number or [re, im], got {value!r}")
+    return _number(lambda p: complex(float(p[0]), float(p[1])), parts, "lambda")
 
 
 def _n_max(cfg: dict, default: int = 10000) -> int:
@@ -262,18 +262,18 @@ def cmd_point_test(cfg: dict, digest: str, out: str) -> int:
     lambdas = block.get("lambdas")
     if not lambdas:
         raise ConfigError("point-test needs point_test.lambdas")
+    if not isinstance(lambdas, list):
+        raise ConfigError(f"point_test.lambdas must be a list, got {lambdas!r}")
     n_max = _n_max(cfg)
     lams = [_lambda(raw) for raw in lambdas]
-    points = spectrum.classify_points(lams, a, s, chi, n_max=n_max)
     results = []
     inconclusive = False
-    for lam, pt in zip(lams, points):
-        point = spectrum.point_spectrum_test(lam, a, s, chi, n_max=n_max)
-        adjoint = spectrum.adjoint_point_test(lam, a, s, chi, n_max=n_max)
+    for pt in spectrum.classify_points(lams, a, s, chi, n_max=n_max):
+        point, adjoint = spectrum.point_tests(pt)
         inconclusive |= TriState.INCONCLUSIVE in (point.outcome, adjoint.outcome)
         results.append(
             {
-                "lambda": lam,
+                "lambda": pt.lam,
                 "point": point.outcome,
                 "point_detail": point.detail,
                 "adjoint": adjoint.outcome,

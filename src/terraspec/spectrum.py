@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -144,20 +143,8 @@ def _diagonal(a: SequenceSpec, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(a_1..a_{n_max} capped at a table's end, its stable argsort)."""
     if n_max < 1:
         raise TerraspecError("index-out-of-range", f"n_max must be >= 1, got {n_max}")
-    depth = scan_depth(a, n_max)
-    return a.values(depth), _diagonal_order(a, depth)
-
-
-@lru_cache(maxsize=1)
-def _diagonal_order(a: SequenceSpec, depth: int) -> np.ndarray:
-    """The stable argsort of a_1..a_depth, kept for the last diagonal.
-
-    Callers that test one lambda at a time (point-test makes two calls per
-    lambda) ask for the same diagonal again and skip the sort.
-    """
-    order = np.argsort(a.values(depth), kind="stable")
-    order.setflags(write=False)
-    return order
+    vals = a.values(scan_depth(a, n_max))
+    return vals, np.argsort(vals, kind="stable")
 
 
 def _locate(lams: list[complex], vals: np.ndarray, order: np.ndarray) -> list[tuple[float, int, int | None]]:
@@ -205,6 +192,19 @@ _PROBE_DETAIL = {
     TriState.INCONCLUSIVE: "probe trend ambiguous",
 }
 
+#: point_spectrum_test off S (0 is never in S); adjoint_point_test at 0 and at lambda = a_k
+_NOT_IN_S = ProbeResult(TriState.NO, "lambda not in S, kernel is trivial")
+_ZERO_NOT_ADJOINT = ProbeResult(TriState.NO, "0 is never an adjoint eigenvalue")
+_ADJOINT_IN_S = "lambda = a_{}, adjoint eigenvector truncates"
+
+
+def point_tests(pt: SpectralPoint) -> tuple[ProbeResult, ProbeResult]:
+    """(point_spectrum_test, adjoint_point_test) of pt.lam, read off its A1 and A2 results."""
+    ev = pt.evidence
+    if ev.in_S:
+        return ProbeResult(ev.a1, ev.limit_diag), ProbeResult(TriState.YES, _ADJOINT_IN_S.format(ev.s_index))
+    return _NOT_IN_S, (_ZERO_NOT_ADJOINT if pt.lam == 0 else ProbeResult(ev.a2, ev.series_diag))
+
 
 def point_spectrum_test(
     lam: complex,
@@ -222,8 +222,8 @@ def point_spectrum_test(
     """
     lam = finite_lambda(lam)
     idx = find_in_S(lam, a, n_max)
-    if idx is None:
-        return ProbeResult(TriState.NO, "lambda not in S, kernel is trivial")
+    if idx is None or lam == 0:  # a diagonal that underflows to 0.0 does not put 0 in S
+        return _NOT_IN_S
     return _point_test_at(lam, idx, a, s, chi, alpha(lam) * chi, n_max)
 
 
@@ -272,10 +272,10 @@ def adjoint_point_test(
     """
     lam = finite_lambda(lam)
     if lam == 0:
-        return ProbeResult(TriState.NO, "0 is never an adjoint eigenvalue")
+        return _ZERO_NOT_ADJOINT
     idx = find_in_S(lam, a, n_max)
     if idx is not None:
-        return ProbeResult(TriState.YES, f"lambda = a_{idx}, adjoint eigenvector truncates")
+        return ProbeResult(TriState.YES, _ADJOINT_IN_S.format(idx))
     return _adjoint_test_at(lam, s, alpha(lam) * chi, disk_position(lam, chi), n_max)
 
 

@@ -4,6 +4,9 @@ import math
 import pytest
 
 from terraspec.cli import main
+from terraspec.sequences import cesaro_scaled, constant, geometric, log_reciprocal, p_cesaro, power_weight, table
+from terraspec.sequences import to_json
+from terraspec.spectrum import adjoint_point_test, point_spectrum_test
 
 CESARO_CFG = {
     "a": {"family": "cesaro_scaled", "params": {"chi": 1.0}},
@@ -162,6 +165,81 @@ class TestPointTest:
         assert capsys.readouterr().err == "terraspec: error: lambda must be a number or [re, im], got 'x'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lambdas,err",
+        [
+            (0.5, "point_test.lambdas must be a list, got 0.5"),
+            ("ab", "point_test.lambdas must be a list, got 'ab'"),
+            ({"re": 0.5}, "point_test.lambdas must be a list, got {'re': 0.5}"),
+        ],
+    )
+    def test_lambdas_not_a_list(self, tmp_path, capsys, lambdas, err):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "point_test": {"lambdas": lambdas}})
+        assert run(["point-test", "--config", cfg, "--out", tmp_path / "points.json"]) == 1
+        assert capsys.readouterr().err == f"terraspec: error: {err}\n"
+
+    def test_zero_on_a_diagonal_that_underflows(self, tmp_path):
+        # geometric(0.5) reaches 0.0 at a_1075; 0 is still not in S
+        cfg = write_cfg(
+            tmp_path,
+            {
+                "a": {"family": "geometric", "params": {"ratio": 0.5}},
+                "chi": 1.0,
+                "point_test": {"lambdas": [0, 0.25, [0.3, 0.1]]},
+            },
+        )
+        out = tmp_path / "points.json"
+        assert run(["point-test", "--config", cfg, "--out", out]) == 0
+        zero = json.loads(out.read_text())["result"][0]
+        assert (zero["point"], zero["point_detail"]) == ("no", "lambda not in S, kernel is trivial")
+        assert (zero["adjoint"], zero["adjoint_detail"]) == ("no", "0 is never an adjoint eigenvalue")
+        assert zero["label"] == "continuous_candidate"
+
+
+def _point_test_lambdas(a, chi):
+    """Diagonal values, their snap band, disk interior and exterior, negative reals and 0."""
+    lams = [complex(a.value(k)) for k in (1, 2, 7, 250, 3000)]
+    lams += [a.value(k) * (1 + d) for k in (3, 40, 200) for d in (1e-14, -1e-14, 5e-13, -5e-13, 1e-12, -1e-12)]
+    for r in (0.3, 0.9, 1.2, 1.9):
+        for theta in (0.4, 2.0, 3.5):
+            lams.append(chi / 2 + r * chi / 2 * complex(math.cos(theta), math.sin(theta)))
+    return lams + [complex(1.5 * chi), complex(-0.5 * chi), complex(-1e-3), 0j]
+
+
+class TestPointTestColumns:
+    """point-test's columns equal what point_spectrum_test and adjoint_point_test give per lambda."""
+
+    @pytest.mark.parametrize(
+        "a,chi",
+        [
+            (cesaro_scaled(0.7), 0.7),
+            (cesaro_scaled(2.0), 2.0),
+            (p_cesaro(1.0), 1.0),
+            (table([0.7 / (k + 0.5) for k in range(1, 3001)]), 0.7),
+            (geometric(0.5), 1.0),
+        ],
+        ids=["cesaro_0.7", "cesaro_2", "p_cesaro_1", "table", "geometric"],
+    )
+    @pytest.mark.parametrize(
+        "s", [constant(1.0), power_weight(1.5), log_reciprocal()], ids=["constant", "power", "log_reciprocal"]
+    )
+    def test_rows_match_the_public_tests(self, tmp_path, a, chi, s):
+        lams = _point_test_lambdas(a, chi)
+        cfg = write_cfg(
+            tmp_path,
+            {"a": to_json(a), "s": to_json(s), "chi": chi,
+             "point_test": {"lambdas": [[lam.real, lam.imag] for lam in lams]}},
+        )
+        out = tmp_path / "points.json"
+        assert run(["point-test", "--config", cfg, "--out", out]) in (0, 2)
+        rows = json.loads(out.read_text())["result"]
+        assert [complex(*row["lambda"]) for row in rows] == lams
+        for lam, row in zip(lams, rows):
+            point = point_spectrum_test(lam, a, s, chi)
+            adjoint = adjoint_point_test(lam, a, s, chi)
+            assert (row["point"], row["point_detail"]) == (point.outcome.value, point.detail), lam
+            assert (row["adjoint"], row["adjoint_detail"]) == (adjoint.outcome.value, adjoint.detail), lam
+
 
 class TestConfigCoercion:
     def test_non_finite_lambdas(self, tmp_path, capsys):
@@ -176,6 +254,21 @@ class TestConfigCoercion:
             assert run(["point-test", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
             err = capsys.readouterr().err
             assert err.startswith("terraspec: error: ") and "chi" in err
+
+    @pytest.mark.parametrize("bad", [True, [True, False], [0.5, False], ["0.5", 0.0]], ids=repr)
+    @pytest.mark.parametrize(
+        "command,block",
+        [
+            ("point-test", lambda v: {"point_test": {"lambdas": [0.5, v]}}),
+            ("resolvent-verify", lambda v: {"resolvent_verify": {"lambda": v, "n": 10}}),
+            ("product-band", lambda v: {"product_band": {"lambda": v}}),
+        ],
+        ids=["point-test", "resolvent-verify", "product-band"],
+    )
+    def test_lambda_is_not_a_bool_or_string(self, tmp_path, capsys, command, block, bad):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, **block(bad)})
+        assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert capsys.readouterr().err == f"terraspec: error: lambda must be a number or [re, im], got {bad!r}\n"
 
     def test_bad_numbers(self, tmp_path, capsys):
         cases = [

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -8,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terraspec import spectrum
+from terraspec.cli import main
 from terraspec.errors import TerraspecError
 from terraspec.numerics import TriState
 from terraspec.products import alpha, log_product, ratio_band
 from terraspec.sequences import cesaro_scaled, constant, custom, log_reciprocal, max_index, p_cesaro, power_weight
-from terraspec.sequences import geometric, scan_depth, table, verify_weight
+from terraspec.sequences import geometric, scan_depth, table, to_json, verify_weight
 from terraspec.spectrum import (
     SCAN_N,
     Evidence,
@@ -112,6 +114,14 @@ class TestPointSpectrumTest:
 
     def test_off_diagonal_is_no(self):
         assert point_spectrum_test(0.42, CESARO, UNIT, 1.0).outcome is TriState.NO
+
+    def test_zero_is_not_in_s_on_a_diagonal_that_underflows(self):
+        # geometric(0.5) reaches 0.0 at a_1075, but 0 is never an element of S
+        a = geometric(0.5)
+        assert find_in_S(0.0, a) == 1075
+        out = point_spectrum_test(0.0, a, UNIT, 1.0)
+        assert out == ProbeResult(TriState.NO, "lambda not in S, kernel is trivial")
+        assert classify_point(0.0, a, UNIT, 1.0).label is Label.CONTINUOUS_CANDIDATE
 
     def test_numeric_probe_overflow_is_growth(self):
         # alpha*chi is about 2000 at a_2000, so n^(alpha chi) overflows: that is growth, not decay
@@ -702,8 +712,7 @@ class TestLocate:
         # geometric(0.5) underflows to 0.0 from a_1075 on: lambda = 0 matches it exactly
         assert find_in_S(0.0, geometric(0.5)) == 1075 and dist_to_S(0.0, geometric(0.5)) == (0.0, 1075)
 
-    def test_one_locate_and_one_sort_per_call(self, call_log):
-        spectrum._diagonal_order.cache_clear()
+    def test_one_locate_and_one_sort_per_call(self, call_log, tmp_path):
         locates = call_log(spectrum, "_locate")
         sorts = call_log(np, "argsort")
         a = cesaro_scaled(0.7)
@@ -712,11 +721,20 @@ class TestLocate:
         assert len(points) == 1681
         assert [len(args[0]) for _, args in locates] == [1681]
         assert len(sorts) == 1
-        # one lambda at a time on the same diagonal reuses the sort
-        for lam in (0.35, 0.3 + 0.2j):
-            point_spectrum_test(lam, a, UNIT, 0.7)
-            adjoint_point_test(lam, a, UNIT, 0.7)
-        assert len(locates) == 5 and len(sorts) == 1
+        # point-test reads both of its tests off the same pass: one A1 per lambda in S
+        tests = call_log(spectrum, "_point_test_at")
+        lams = [0.7, 0.35, 0.35 * (1 + 5e-14), a.value(7), 0.3 + 0.2j, 2.0, -0.5, 0.0]
+        cfg = tmp_path / "points.json"
+        cfg.write_text(json.dumps({
+            "a": to_json(a), "chi": 0.7,
+            "point_test": {"lambdas": [[lam.real, lam.imag] for lam in map(complex, lams)]},
+        }))
+        locates.clear()
+        sorts.clear()
+        assert main(["point-test", "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 0
+        assert [len(args[0]) for _, args in locates] == [len(lams)]
+        assert len(sorts) == 1
+        assert [args[1] for _, args in tests] == [1, 2, 2, 7]
 
 
 class TestClosureBoundary:
