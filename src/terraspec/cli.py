@@ -162,6 +162,14 @@ def _lambda(value) -> complex:
     return _number(lambda p: complex(float(p[0]), float(p[1])), parts, "lambda")
 
 
+def _block(cfg: dict, name: str) -> dict:
+    """The subcommand block cfg[name] ({} when absent); anything but a JSON object is a config error."""
+    block = cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {block!r}")
+    return block
+
+
 def _n_max(cfg: dict, default: int = 10000) -> int:
     n = _integer(cfg.get("n_max", default), "n_max")
     if n < 1:
@@ -212,7 +220,7 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     s = _sequence(cfg, "s", sequences.constant(1.0))
     chi = _chi(cfg, a)
-    block = cfg.get("spectrum_map", {})
+    block = _block(cfg, "spectrum_map")
     if "grid" not in block:
         raise ConfigError("spectrum-map needs spectrum_map.grid")
     grid = _grid_from_cfg(block["grid"])
@@ -258,7 +266,7 @@ def cmd_point_test(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     s = _sequence(cfg, "s", sequences.constant(1.0))
     chi = _chi(cfg, a)
-    block = cfg.get("point_test", {})
+    block = _block(cfg, "point_test")
     lambdas = block.get("lambdas")
     if not lambdas:
         raise ConfigError("point-test needs point_test.lambdas")
@@ -289,7 +297,7 @@ def cmd_point_test(cfg: dict, digest: str, out: str) -> int:
 
 def cmd_resolvent_verify(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
-    block = cfg.get("resolvent_verify", {})
+    block = _block(cfg, "resolvent_verify")
     if "lambda" not in block or "n" not in block:
         raise ConfigError("resolvent-verify needs resolvent_verify.lambda and .n")
     lam = _lambda(block["lambda"])
@@ -313,7 +321,7 @@ def cmd_resolvent_verify(cfg: dict, digest: str, out: str) -> int:
 def cmd_product_band(cfg: dict, digest: str, out: str, csv_out: str | None = None) -> int:
     a = _sequence(cfg, "a")
     chi = _chi(cfg, a)
-    block = cfg.get("product_band", {})
+    block = _block(cfg, "product_band")
     if "lambda" not in block:
         raise ConfigError("product-band needs product_band.lambda")
     lam = _lambda(block["lambda"])
@@ -350,7 +358,7 @@ def cmd_product_band(cfg: dict, digest: str, out: str, csv_out: str | None = Non
 def cmd_ideal_qnorm(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
-    block = cfg.get("ideal_qnorm", {})
+    block = _block(cfg, "ideal_qnorm")
     if "snumbers" in block:
         name = "ideal_qnorm.snumbers"
         values = _number(lambda vs: tuple(_finite_float(v, name) for v in vs), block["snumbers"], name)
@@ -382,7 +390,7 @@ def cmd_ideal_qnorm(cfg: dict, digest: str, out: str) -> int:
 def cmd_ideal_axioms(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
-    block = cfg.get("ideal_axioms", {})
+    block = _block(cfg, "ideal_axioms")
     trials = _integer(block.get("trials", 200), "ideal_axioms.trials")
     dim = _integer(block.get("dim", 8), "ideal_axioms.dim")
     seed = _effective_seed(cfg)

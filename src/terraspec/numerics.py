@@ -127,17 +127,20 @@ def classify_limit_trend(values) -> Limit | None:
 
 
 def log_cumprod(factors) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative products of factors as (phase, log magnitude) pairs.
+    """Cumulative products of factors along the last axis as (phase, log magnitude) pairs.
 
     The k-th cumulative product is phase[k] * exp(logmag[k]).  For real
     factors the phase is exactly -1.0 or +1.0; for complex factors it is the
     unit phase of the accumulated principal arguments (not reduced mod
     2*pi).  From an exactly zero factor on, the phase is 0 and the log
-    magnitude -inf.
+    magnitude -inf.  Each row of a stacked input gives the bits of a 1-D call.
     """
     f = np.asarray(factors)
     with np.errstate(divide="ignore"):
-        logmag = np.cumsum(np.log(np.abs(f)))
-    phase = np.exp(1j * np.cumsum(np.angle(f))) if np.iscomplexobj(f) else np.cumprod(np.sign(f))
+        logmag = np.cumsum(np.log(np.abs(f)), axis=-1)
+    if np.iscomplexobj(f):
+        phase = np.exp(1j * np.cumsum(np.angle(f), axis=-1))
+    else:
+        phase = np.cumprod(np.sign(f), axis=-1)
     phase[np.isneginf(logmag)] = 0.0
     return phase, logmag

@@ -17,6 +17,7 @@ band with no log-log drift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +35,28 @@ BAND_TOL = 1e3
 
 
 def alpha(lam: complex) -> float:
-    """Re(1/lambda), the exponent driver; undefined at 0."""
+    """Re(1/lambda), the exponent driver; undefined at 0.
+
+    When |lambda|^2 is not a normal float (below about 1.5e-154 it is
+    subnormal or 0.0, above about 1.3e154 it is inf), lambda is scaled by an
+    exact power of two first; every other lambda takes the plain formula.
+    A value past the double range raises ``alpha-overflow``.
+    """
     lam = finite_lambda(lam)
     if lam == 0:
         raise TerraspecError("alpha-undefined-at-zero")
-    return lam.real / (lam.real**2 + lam.imag**2)
+    try:
+        den = lam.real**2 + lam.imag**2
+    except OverflowError:
+        den = math.inf
+    if sys.float_info.min <= den < math.inf:
+        return lam.real / den
+    e = math.frexp(max(abs(lam.real), abs(lam.imag)))[1]
+    re, im = math.ldexp(lam.real, -e), math.ldexp(lam.imag, -e)
+    try:
+        return math.ldexp(re / (re**2 + im**2), -e)
+    except OverflowError:
+        raise TerraspecError("alpha-overflow", f"Re(1/lambda) is past the double range at lambda = {lam!r}") from None
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,16 @@ def build_section(a: SequenceSpec, n: int) -> FiniteSection:
 
 
 def apply(sec: FiniteSection, x) -> np.ndarray:
-    """y_i = sum_{k<=i} entries(i,k) * x_k."""
+    """y_i = sum_{k<=i} entries(i,k) * x_k.
+
+    A terraced section has row i constantly a_i up to the diagonal, so
+    y = a * cumsum(x) in O(n); other kinds take the dense product.
+    """
     x = np.asarray(x, dtype=complex)
     if x.shape != (sec.n,):
         raise TerraspecError("dimension-mismatch", f"vector length {x.shape} != {sec.n}")
+    if sec.kind == "terraced":
+        return sec.entries[:, 0] * np.cumsum(x)
     return sec.entries @ x
 
 

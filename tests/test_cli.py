@@ -195,6 +195,28 @@ class TestPointTest:
         assert (zero["adjoint"], zero["adjoint_detail"]) == ("no", "0 is never an adjoint eigenvalue")
         assert zero["label"] == "continuous_candidate"
 
+    @pytest.mark.parametrize("lam", [1e-200, [1e-200, 1e-200], [0.0, -1e-200]], ids=repr)
+    def test_tiny_lambda_is_answered(self, tmp_path, lam):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "point_test": {"lambdas": [lam]}})
+        out = tmp_path / "points.json"
+        assert run(["point-test", "--config", cfg, "--out", out]) == 0
+        row = json.loads(out.read_text())["result"][0]
+        assert (row["point"], row["adjoint"], row["label"]) == ("no", "no", "boundary_unknown")
+
+    def test_tiny_diagonal_value_is_answered(self, tmp_path):
+        # a_900 = 2^-900 of geometric(0.5): |lambda|^2 underflows to 0.0
+        a = geometric(0.5)
+        cfg = write_cfg(tmp_path, {"a": to_json(a), "chi": 1.0, "point_test": {"lambdas": [a.value(900)]}})
+        out = tmp_path / "points.json"
+        assert run(["point-test", "--config", cfg, "--out", out]) == 0
+        row = json.loads(out.read_text())["result"][0]
+        assert (row["point"], row["adjoint_detail"]) == ("yes", "lambda = a_900, adjoint eigenvector truncates")
+
+    def test_tiny_lambda_past_the_alpha_range_is_an_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "point_test": {"lambdas": [1e-310]}})
+        assert run(["point-test", "--config", cfg, "--out", tmp_path / "points.json"]) == 1
+        assert capsys.readouterr().err.startswith("terraspec: error: alpha-overflow: ")
+
 
 def _point_test_lambdas(a, chi):
     """Diagonal values, their snap band, disk interior and exterior, negative reals and 0."""
@@ -327,6 +349,24 @@ class TestConfigCoercion:
         cfg = write_cfg(tmp_path, {**CESARO_CFG, **block(bad)})
         assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [[0.5], 0.5, "x", None], ids=repr)
+    @pytest.mark.parametrize(
+        "command,block",
+        [
+            ("spectrum-map", "spectrum_map"),
+            ("point-test", "point_test"),
+            ("resolvent-verify", "resolvent_verify"),
+            ("product-band", "product_band"),
+            ("ideal-qnorm", "ideal_qnorm"),
+            ("ideal-axioms", "ideal_axioms"),
+        ],
+        ids=lambda v: v if "_" in v else None,
+    )
+    def test_block_is_not_an_object(self, tmp_path, capsys, command, block, bad):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, block: bad})
+        assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
+        assert capsys.readouterr().err == f"terraspec: error: {block} must be a JSON object, got {bad!r}\n"
 
     def test_integral_float_is_an_integer(self, tmp_path):
         cfg = write_cfg(tmp_path, {**CESARO_CFG, "n_max": 2000.0})

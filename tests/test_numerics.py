@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -113,3 +114,16 @@ def test_log_cumprod_exact_zero():
     phase, logmag = log_cumprod(np.array([1j, 0j, 2.0 + 0j]))
     assert phase[0] == np.exp(1j * (math.pi / 2)) and phase[1] == phase[2] == 0.0
     assert logmag[0] == 0.0 and np.all(np.isneginf(logmag[1:]))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_log_cumprod_rows_of_a_stack_are_1d_calls(dtype):
+    rng = np.random.default_rng(3)
+    fs = rng.uniform(-2.0, 2.0, (4, 30)).astype(dtype)
+    if dtype is complex:
+        fs += 1j * rng.uniform(-2.0, 2.0, (4, 30))
+    fs[2, 7] = 0.0
+    phase, logmag = log_cumprod(fs)
+    for row, p, lm in zip(fs, phase, logmag):
+        p1, lm1 = log_cumprod(row)
+        assert np.array_equal(p, p1) and np.array_equal(lm, lm1)

@@ -28,6 +28,32 @@ class TestAlpha:
             alpha(0.0)
         assert exc.value.code == "alpha-undefined-at-zero"
 
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            1e-200,  # |lambda|^2 underflows to 0.0
+            1e-200 + 1e-200j,
+            -3e-160 + 4e-160j,  # |lambda|^2 is subnormal
+            1e200,  # |lambda|^2 overflows
+            -3e200 + 4e200j,
+        ],
+        ids=repr,
+    )
+    def test_scaled_when_the_square_modulus_is_not_normal(self, lam):
+        lam = complex(lam)
+        re, im = Fraction(lam.real), Fraction(lam.imag)
+        assert alpha(lam) == pytest.approx(float(re / (re * re + im * im)), rel=4e-16)
+
+    @pytest.mark.parametrize("lam", [0.5, 2.0 - 1.0j, 1e-150 + 3e-151j, -7e150j + 1e150], ids=repr)
+    def test_normal_square_modulus_keeps_the_plain_formula(self, lam):
+        assert alpha(lam) == lam.real / (lam.real**2 + lam.imag**2)
+
+    @pytest.mark.parametrize("lam", [1e-310, 5e-324 + 5e-324j], ids=repr)
+    def test_past_the_double_range(self, lam):
+        with pytest.raises(TerraspecError) as exc:
+            alpha(lam)
+        assert exc.value.code == "alpha-overflow"
+
 
 class TestLogProduct:
     def test_single_factor(self):

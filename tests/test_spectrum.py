@@ -36,7 +36,7 @@ from terraspec.spectrum import (
     spectrum_grid,
     verify_resolvent,
 )
-from terraspec.terraced import build_section
+from terraspec.terraced import FiniteSection, build_section
 
 CESARO = cesaro_scaled(1.0)
 UNIT = constant(1.0)
@@ -748,6 +748,18 @@ class TestClosureBoundary:
         assert tiny[0].label is Label.BOUNDARY_UNKNOWN
         assert (ev.disk_position, ev.in_S, ev.a1, ev.a2) == ("boundary", False, TriState.NO, TriState.NO)
 
+    @pytest.mark.parametrize("lam", [1e-200, complex(1e-200, -3e-201), complex(0.0, 1e-170)], ids=repr)
+    def test_tiny_lambda_is_classified(self, lam):
+        # |lambda|^2 underflows; alpha = Re(1/lambda) is still finite
+        pt = classify_point(lam, cesaro_scaled(1.0), UNIT, 1.0)
+        assert pt.evidence.alpha == pytest.approx((1 / complex(lam)).real, rel=1e-15)
+        assert (pt.label, pt.evidence.disk_position) == (Label.BOUNDARY_UNKNOWN, "boundary")
+
+    def test_alpha_chi_past_the_double_range_raises(self):
+        with pytest.raises(TerraspecError) as exc:
+            classify_point(1e-308, cesaro_scaled(2.0), UNIT, 2.0)
+        assert exc.value.code == "alpha-overflow"
+
     def test_snapped_lambda_is_tested_at_its_diagonal_value(self):
         # 0.7000000000000002 snaps to a_1 = chi = 0.7, where alpha * chi = 1 and a_n n -> chi
         a = cesaro_scaled(0.7)
@@ -826,3 +838,128 @@ class TestPseudospectrum:
         with pytest.raises(TerraspecError) as exc:
             pseudospectrum_grid(sec, grid, [0.1])
         assert exc.value.code == "section-too-large"
+
+
+def _sigma_min_references(sec, lam):
+    """(svdvals, forward substitution, reliable floor) for sigma_min(section - lambda I).
+
+    Forward substitution inverts the triangular matrix; the top eigenvalue of
+    the inverse's Gram matrix is 1/sigma_min^2.  Both references are off by
+    up to about n eps ||T - lambda I||_F absolute, so the floor is 1e7 times
+    that: above it they are accurate to 1e-7 relative.
+    """
+    n = sec.n
+    mat = sec.entries - lam * np.eye(n)
+    dense = scipy.linalg.svdvals(mat)[-1]
+    floor = 1e7 * n * np.finfo(float).eps * np.linalg.norm(mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = scipy.linalg.solve_triangular(mat, np.eye(n, dtype=complex), lower=True)
+        scale = np.max(np.abs(inv))
+    if not np.isfinite(scale):
+        return dense, 0.0, floor
+    inv /= scale  # the Gram matrix of the unscaled inverse can overflow
+    return dense, 1.0 / (scale * math.sqrt(np.linalg.eigvalsh(inv.conj().T @ inv)[-1])), floor
+
+
+_PSEUDO_DIAGONALS = {
+    "cesaro_scaled": st.floats(0.3, 3.0).map(cesaro_scaled),
+    "p_cesaro": st.floats(0.5, 2.0).map(p_cesaro),
+    "log_reciprocal": st.just(log_reciprocal()),
+    "geometric": st.floats(0.2, 0.9).map(geometric),
+    "table": st.integers(0, 2**32 - 1).map(lambda seed: table(np.random.default_rng(seed).uniform(0.01, 2.0, 200))),
+}
+
+
+@st.composite
+def _pseudo_case(draw, family):
+    """A terraced section and a grid whose first column can sit on 0, on some a_k or on a random real."""
+    a = draw(_PSEUDO_DIAGONALS[family], label="a")
+    n = draw(st.integers(1, 200), label="n")
+    vals = a.values(n)
+    lo = draw(st.one_of(st.just(0.0), st.sampled_from(vals.tolist()), st.floats(-1.0, 1.0)), label="re_lo")
+    hi = lo + draw(st.floats(0.05, 2.0), label="re_width")
+    im_lo = draw(st.one_of(st.just(0.0), st.floats(-1.0, 0.0)), label="im_lo")
+    im_hi = im_lo + draw(st.floats(0.05, 1.0), label="im_height")
+    res = draw(st.tuples(st.integers(2, 3), st.integers(2, 3)), label="resolution")
+    return build_section(a, n), GridSpec((lo, hi), (im_lo, im_hi), res)
+
+
+class TestStructuredPseudospectrum:
+    """The terraced route (semiseparable inverse and batched Lanczos) against dense references."""
+
+    @staticmethod
+    def _check_against_references(sec, grid):
+        out = pseudospectrum_grid(sec, grid, [1e-3, 0.1])
+        vals = sec.entries[:, 0].real
+        for i, im in enumerate(grid.im_values()):
+            for j, re in enumerate(grid.re_values()):
+                lam = complex(re, im)
+                got = out.sigma_min[i, j]
+                if lam in vals:
+                    assert got == 0.0
+                    continue
+                dense, forward, floor = _sigma_min_references(sec, lam)
+                if forward > floor:
+                    # 1e-10 relative, plus the references' own rounding
+                    assert got == pytest.approx(dense, rel=1e-10, abs=1e-7 * floor), lam
+                    assert got == pytest.approx(forward, rel=1e-10, abs=1e-7 * floor), lam
+                else:
+                    assert got <= 2.0 * floor, lam
+        for e, member in out.membership.items():
+            assert np.array_equal(member, out.sigma_min <= e)
+        return out
+
+    @pytest.mark.parametrize("family", list(_PSEUDO_DIAGONALS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_svdvals_and_forward_substitution(self, family, data):
+        sec, grid = data.draw(_pseudo_case(family))
+        self._check_against_references(sec, grid)
+
+    def test_readme_grid_with_the_node_next_to_zero(self):
+        sec = build_section(cesaro_scaled(0.7), 40)
+        grid = GridSpec((-0.175, 0.875), (-0.525, 0.525), (13, 13))
+        lams = grid.re_values()[None, :] + 1j * grid.im_values()[:, None]
+        assert np.any((0 < np.abs(lams)) & (np.abs(lams) < 1e-16))  # the 2.8e-17 node
+        self._check_against_references(sec, grid)
+
+    def test_zero_and_diagonal_nodes(self):
+        sec = build_section(cesaro_scaled(1.0), 50)
+        out = self._check_against_references(sec, GridSpec((0.0, 0.5), (0.0, 0.2), (3, 2)))
+        assert out.sigma_min[0, 0] == scipy.linalg.svdvals(sec.entries)[-1]  # lambda = 0 is dense
+        assert out.sigma_min[0, 2] == 0.0  # lambda = a_2
+
+    def test_bit_identical_reruns(self):
+        sec = build_section(p_cesaro(1.3), 150)
+        grid = GridSpec((-0.4, 1.3), (-0.6, 0.6), (7, 5))
+        first = pseudospectrum_grid(sec, grid, [0.01])
+        second = pseudospectrum_grid(sec, grid, [0.01])
+        assert first.sigma_min.tobytes() == second.sigma_min.tobytes()
+
+    def test_svdvals_only_at_fallback_nodes(self, monkeypatch):
+        calls = []
+        svdvals = scipy.linalg.svdvals
+
+        def counted(mat):
+            calls.append(mat[0, 0])
+            return svdvals(mat)
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", counted)
+        sec = build_section(cesaro_scaled(1.0), 60)
+        pseudospectrum_grid(sec, GridSpec((-0.2, 1.2), (-0.3, 0.3), (5, 4)), [0.1])
+        assert calls == []
+        pseudospectrum_grid(sec, GridSpec((0.0, 1.2), (0.0, 0.3), (5, 4)), [0.1])
+        assert calls == [1.0]  # only lambda = 0 leaves the structured route
+        calls.clear()
+        general = FiniteSection(60, sec.entries, "general")
+        pseudospectrum_grid(general, GridSpec((-0.2, 1.2), (-0.3, 0.3), (5, 4)), [0.1])
+        assert len(calls) == 20
+
+    def test_inverse_past_the_double_range_falls_back(self):
+        # for |lambda| = 1e-5 log|prod (1 - a_k/lambda)| spans more than 2 * 709 over 200 terms,
+        # so u or v leaves the double range although sigma_min is about 2.6e-3
+        sec = build_section(cesaro_scaled(1.0), 200)
+        assert np.isnan(spectrum._inverse_sigma_min(sec.entries[:, 0].real, np.array([-1e-5 + 0j])))[0]
+        out = pseudospectrum_grid(sec, GridSpec((-1e-5, 1e-5), (0.0, 1e-5), (2, 2)), [0.1])
+        assert out.sigma_min[0, 0] == scipy.linalg.svdvals(sec.entries + 1e-5 * np.eye(200))[-1]
+        assert 2e-3 < out.sigma_min[0, 0] < 3e-3

@@ -70,6 +70,22 @@ class TestApply:
         out = apply(sec, [1, 1, 1])
         assert np.allclose(out, [2.0, 2.0, 2.0], rtol=1e-15)
 
+    @pytest.mark.parametrize("spec", [cesaro_scaled(1.5), p_cesaro(0.7), log_reciprocal(), geometric(0.8),
+                                      table([3.0, 1.0, 0.25, 2.0, 0.5] * 80)], ids=repr)
+    def test_matches_the_dense_product(self, spec):
+        n = 400
+        sec = build_section(spec, n)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # the sums run in another order: allow n ulps of the absolute row sum
+        bound = n * np.finfo(float).eps * np.abs(sec.entries[:, 0]) * np.cumsum(np.abs(x))
+        assert np.all(np.abs(apply(sec, x) - sec.entries @ x) <= bound)
+
+    def test_other_kinds_take_the_dense_product(self):
+        sec = conjugate_section(build_section(cesaro_scaled(1.0), 50), constant(1.0), geometric(0.5))
+        x = np.linspace(-1.0, 1.0, 50) + 0.5j
+        assert np.array_equal(apply(sec, x), sec.entries @ x)
+
     def test_dimension_mismatch(self):
         sec = build_section(cesaro_scaled(1.0), 3)
         with pytest.raises(TerraspecError) as exc:
