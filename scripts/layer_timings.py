@@ -47,6 +47,7 @@ LAYERS = [
      lambda: spectrum.resolvent_section(0.3 + 0.4j, CESARO, 2000)),
     ("verify_resolvent N = 1000", lambda: spectrum.verify_resolvent(0.3 + 0.4j, CESARO, 1000)),
     ("ratio_band n = 128..2^20", lambda: products.ratio_band(CESARO, 2.0, 1.0, (128, 2**20))),
+    ("pseudospectrum_grid 3x3 nodes, N = 64 (sections warm-up shape)", pseudospectrum(64, 3)),
     ("pseudospectrum_grid 4x4 nodes, N = 175", pseudospectrum(175, 4)),
     ("pseudospectrum_grid 21x21 nodes, N = 200", pseudospectrum(200, 21)),
     ("check_quasinorm_axioms 200 trials x dim 8",

@@ -28,8 +28,7 @@ from .asymptotics import INDEX, AsymptoticClass, Limit, limit_class, mul, partia
 from .errors import TerraspecError
 from .numerics import TriState, classify_limit_trend, compensated_cumsum, dyadic_probes, vanishes
 from .sequences import SequenceSpec, scan_depth
-from .spectrum import DENSE_CAP
-from .terraced import FiniteSection, conjugate_section
+from .terraced import DENSE_CAP, FiniteSection, conjugate_section
 
 #: absolute slack for the finite-trial inequality checks
 AXIOM_TOL = 1e-9

@@ -36,7 +36,7 @@ from .numerics import TriState, check_chi, classify_limit_trend, divisor, dyadic
 from .numerics import log_cumprod, vanishes
 from .products import alpha
 from .sequences import SequenceSpec, scan_depth, verify_weight
-from .terraced import FiniteSection, _freeze
+from .terraced import DENSE_CAP, FiniteSection, _freeze
 
 
 #: snap tolerance for membership of a floating lambda in the exact set S
@@ -47,9 +47,6 @@ DISK_RTOL = 1e-12
 
 #: default diagonal scan depth
 SCAN_N = 10000
-
-#: dense SVD cap for pseudospectrum sections
-DENSE_CAP = 512
 
 
 class Label(Enum):
@@ -216,15 +213,15 @@ def point_spectrum_test(
 ) -> ProbeResult:
     """Is lambda an eigenvalue: lambda in S and a_n s_n n**(alpha*chi) -> 0.
 
-    Real diagonal points above chi are eigenvalues outright (the exponent
-    alpha*chi drops below 1 there); otherwise the limit is decided on the
-    growth classes when available, else by dyadic probes.
+    Read off the A1 result of classify_point (point_tests), so it raises
+    where classify_point does: an unbounded weight, an invalid chi, an
+    n_max below 2, alpha * chi past the double range, or a lambda within
+    SNAP_TOL of 0 inside the disk.  Real diagonal points above chi are
+    eigenvalues outright (the exponent alpha*chi drops below 1 there);
+    otherwise the limit is decided on the growth classes when available,
+    else by dyadic probes.
     """
-    lam = finite_lambda(lam)
-    idx = find_in_S(lam, a, n_max)
-    if idx is None or lam == 0:  # a diagonal that underflows to 0.0 does not put 0 in S
-        return _NOT_IN_S
-    return _point_test_at(lam, idx, a, s, chi, alpha(lam) * chi, n_max)
+    return point_tests(classify_point(lam, a, s, chi, n_max=n_max))[0]
 
 
 def _point_test_at(lam, idx, a, s, chi, ac, n_max) -> ProbeResult:
@@ -236,7 +233,7 @@ def _point_test_at(lam, idx, a, s, chi, ac, n_max) -> ProbeResult:
     a_k = a.value(idx)
     if a_k != lam:
         ac = alpha(a_k) * chi
-    if a_k > chi and verify_weight(s, scan_depth(s, 1024)).bounded:
+    if a_k > chi:  # classify_points has already checked that the weight is bounded
         return ProbeResult(TriState.YES, f"lambda = a_{idx} > chi, eigen-limit vanishes")
     if a.asym is not None and s.asym is not None:
         cls = mul(mul(a.asym, s.asym), AsymptoticClass(1.0, 1.0, ac, 0.0))
@@ -264,19 +261,15 @@ def adjoint_point_test(
     *,
     n_max: int = SCAN_N,
 ) -> ProbeResult:
-    """Adjoint eigenvalue test: S is always in; off the closure of S the
-    criterion is convergence of sum 1/(s_n n**(alpha*chi)).
+    """Adjoint eigenvalue test: S is always in, 0 never; off the closure
+    of S the criterion is convergence of sum 1/(s_n n**(alpha*chi)).
 
-    Points on or outside the spectral circle are excluded outright (the
-    adjoint point spectrum sits in the open disk union S).
+    Read off the A2 result of classify_point (point_tests), so it raises
+    where classify_point does.  Points on or outside the spectral circle
+    are excluded outright (the adjoint point spectrum sits in the open
+    disk union S).
     """
-    lam = finite_lambda(lam)
-    if lam == 0:
-        return _ZERO_NOT_ADJOINT
-    idx = find_in_S(lam, a, n_max)
-    if idx is not None:
-        return ProbeResult(TriState.YES, _ADJOINT_IN_S.format(idx))
-    return _adjoint_test_at(lam, s, alpha(lam) * chi, disk_position(lam, chi), n_max)
+    return point_tests(classify_point(lam, a, s, chi, n_max=n_max))[1]
 
 
 def _adjoint_test_at(lam, s, ac, pos, n_max) -> ProbeResult:
@@ -581,35 +574,39 @@ def pseudospectrum_grid(sec: FiniteSection, grid: GridSpec, epsilons) -> Pseudos
 def _inverse_sigma_min(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """sigma_min(T - lambda I) = 1/sigma_max(B) per node, B = (T - lambda I)^-1 of the terraced T.
 
-    B has diagonal 1/(a_n - lambda) and strictly lower part u_n v_k, with
+    B has diagonal d_n = 1/(a_n - lambda) and strictly lower part u_n v_k, with
     u_n = -a_n/lambda^2 / P_n and v_k = P_{k-1}, P_n = prod_{j<=n} (1 - a_j/lambda)
     (the entries of resolvent_section).  The log magnitudes of P are shifted
     by their per-node midpoint, so u and v stay in the double range whenever
-    their products do.  NaN marks a node whose d, u or v is not finite, or
-    whose Lanczos run met a value that is not.  Needs every lambda nonzero
-    and off the diagonal.
+    their products do; d and u are divided by c = max_n |d_n|, which keeps
+    (B/c)^H (B/c) in range next to a diagonal value.  NaN marks a node whose
+    d/c, u/c or v is not finite, or whose Lanczos run met a value that is
+    not.  Needs every lambda nonzero and off the diagonal.
     """
     lam = lams[:, None]
+    # u_1 and v_N are never read, and may be inf or NaN
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phase, logmag = log_cumprod(1.0 - a / lam)
         L = np.concatenate((np.zeros((len(lams), 1)), logmag), axis=1)  # log|P_0| .. log|P_N|
         mid = 0.5 * (L.max(axis=1, keepdims=True) + L.min(axis=1, keepdims=True))
         d = 1.0 / (a - lam)
-        u = -a / (lam * lam) * phase.conj() * np.exp(mid - L[:, 1:])
+        c = np.abs(d).max(axis=1, keepdims=True)
+        d = d / c
+        u = -a / (lam * lam) * phase.conj() * np.exp(mid - L[:, 1:]) / c
         v = np.concatenate((np.ones((len(lams), 1)), phase[:, :-1]), axis=1) * np.exp(L[:, :-1] - mid)
     ok = np.isfinite(d).all(axis=1) & np.isfinite(u[:, 1:]).all(axis=1) & np.isfinite(v[:, :-1]).all(axis=1)
     out = np.full(len(lams), np.nan)
     nodes = np.flatnonzero(ok)
     for lo in range(0, nodes.size, LANCZOS_BATCH):
         part = nodes[lo : lo + LANCZOS_BATCH]
-        out[part] = 1.0 / _lanczos_sigma_max(d[part], u[part], v[part])
+        out[part] = 1.0 / (c[part, 0] * _lanczos_sigma_max(d[part], u[part], v[part]))
     return out
 
 
 #: a node's Lanczos run stops once its residual is at most this times its estimate
 LANCZOS_RTOL = 1e-10
 
-#: nodes per Lanczos batch: the two Krylov bases hold at most 2 * 32 * N^2 complex values
+#: nodes per Lanczos batch: the Krylov basis holds at most 32 * N^2 complex values
 #: (on a 2-vCPU VM a 21x21 grid at N = 200 ran no slower in batches of 32 than in one of 441)
 LANCZOS_BATCH = 32
 
@@ -617,70 +614,65 @@ LANCZOS_BATCH = 32
 def _lanczos_sigma_max(d: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sigma_max of B = diag(d) + strictly_lower(u v^T) for each row of (d, u, v).
 
-    Golub-Kahan-Lanczos bidiagonalisation, batched over the rows, from one
-    fixed start vector and with full reorthogonalisation (_reorthogonalise)
-    against Krylov bases that grow with the steps.  Bx
-    is one cumsum and B^H y one reverse cumsum, O(N) per row.  After k
-    steps the top eigenpair (theta, q) of the k x k tridiagonal C^T C of the
-    bidiagonal C gives the estimate sqrt(theta) and the residual
-    beta_k alpha_k |q_k| / sqrt(theta); rows are checked every step up to 8,
-    then whenever k has grown by a quarter, and a row leaves the batch once
-    its residual is at most LANCZOS_RTOL times its estimate, at step N
-    (where the estimate is exact up to rounding), or at a value that is not
-    finite (NaN).  References: Golub & Kahan, SIAM J. Numer. Anal. 2(2),
-    1965; Wright & Trefethen, SIAM J. Sci. Comput. 23(2), 2001.
+    Hermitian Lanczos on B^H B, batched over the rows, from one fixed start
+    vector and with full reorthogonalisation (_reorthogonalise) against one
+    Krylov basis that grows with the steps.  B^H B q is one cumsum and one
+    reverse cumsum, O(N) per row.  After k steps the top eigenpair
+    (theta, s) of the tridiagonal T_k (alphas on the diagonal, betas beside
+    it) gives the estimate sqrt(theta) and the residual beta_k |s_k|; rows
+    are checked every step up to 8, then whenever k has grown by a quarter,
+    and a row leaves the batch once its residual is at most LANCZOS_RTOL
+    times theta, at step N (where the estimate is exact up to rounding), or
+    at a value that is not finite (NaN).  B^H B squares the range of B,
+    which the caller's scaling keeps in bounds.  References: Lanczos,
+    J. Res. Nat. Bur. Standards 45(4), 1950; Wright & Trefethen, SIAM J.
+    Sci. Comput. 23(2), 2001.
     """
     m, n = d.shape
     out = np.full(m, np.nan)
     rows = np.arange(m)
     dc, uc, vc = d.conj(), u.conj(), v.conj()
-    U = np.empty((m, min(n, 8), n), dtype=complex)
-    V = np.empty_like(U)
+    Q = np.empty((m, min(n, 8), n), dtype=complex)
     alphas = np.zeros((m, n))
     betas = np.zeros((m, n))
     start = np.random.default_rng(0).standard_normal(n)
-    x = np.tile(start / np.linalg.norm(start), (m, 1)).astype(complex)
+    q = np.tile(start / np.linalg.norm(start), (m, 1)).astype(complex)
     k, next_check = 0, 1
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while rows.size:
-            V[:, k] = x
-            y = d * x
-            y[:, 1:] += u[:, 1:] * np.cumsum(v * x, axis=1)[:, :-1]
+            Q[:, k] = q
+            y = d * q
+            y[:, 1:] += u[:, 1:] * np.cumsum(v * q, axis=1)[:, :-1]
+            w = dc * y
+            w[:, :-1] += vc[:, :-1] * np.cumsum((uc * y)[:, :0:-1], axis=1)[:, ::-1]
+            alpha = np.linalg.norm(y, axis=1) ** 2  # q^H B^H B q
+            w -= alpha[:, None] * q
             if k:
-                y = _reorthogonalise(y - betas[:, k - 1, None] * U[:, k - 1], U[:, :k])
-            alpha = np.linalg.norm(y, axis=1)
-            y /= alpha[:, None]
-            U[:, k] = y
-            z = dc * y
-            z[:, :-1] += vc[:, :-1] * np.cumsum((uc * y)[:, :0:-1], axis=1)[:, ::-1]
-            z = _reorthogonalise(z - alpha[:, None] * x, V[:, : k + 1])
-            beta = np.linalg.norm(z, axis=1)
+                w -= betas[:, k - 1, None] * Q[:, k - 1]
+            w = _reorthogonalise(w, Q[:, : k + 1])
+            beta = np.linalg.norm(w, axis=1)
             alphas[:, k] = alpha
             betas[:, k] = beta
             k += 1
             if k >= next_check or k == n or not np.all(beta > 0.0):
                 next_check = max(k + 1, k + k // 4)
-                gram = np.zeros((rows.size, k, k))
+                tri = np.zeros((rows.size, k, k))
                 diag = np.arange(k)
-                gram[:, diag, diag] = alphas[:, :k] ** 2
-                gram[:, diag[1:], diag[1:]] += betas[:, : k - 1] ** 2
-                gram[:, diag[1:], diag[:-1]] = alphas[:, : k - 1] * betas[:, : k - 1]  # eigh reads the lower part
+                tri[:, diag, diag] = alphas[:, :k]
+                tri[:, diag[1:], diag[:-1]] = betas[:, : k - 1]  # eigh reads the lower part
                 finite = np.isfinite(alpha) & np.isfinite(beta)
-                gram[~finite] = 0.0
-                theta, q = np.linalg.eigh(gram)
-                sigma = np.sqrt(theta[:, -1])
-                resid = beta * alpha * np.abs(q[:, -1, -1]) / sigma
-                done = (resid <= LANCZOS_RTOL * sigma) | ~finite | (k == n)
-                out[rows[done & finite]] = sigma[done & finite]
+                tri[~finite] = 0.0
+                theta, s = np.linalg.eigh(tri)
+                top = theta[:, -1]
+                done = (beta * np.abs(s[:, -1, -1]) <= LANCZOS_RTOL * top) | ~finite | (k == n)
+                out[rows[done & finite]] = np.sqrt(top[done & finite])
                 if done.any():
                     keep = ~done
-                    rows, d, u, v, dc, uc, vc = (w[keep] for w in (rows, d, u, v, dc, uc, vc))
-                    U, V, alphas, betas, z, beta = (w[keep] for w in (U, V, alphas, betas, z, beta))
-            if k == U.shape[1] and rows.size:
-                grow = np.empty((rows.size, min(n, 2 * k) - k, n), dtype=complex)
-                U = np.concatenate((U, grow), axis=1)
-                V = np.concatenate((V, grow), axis=1)
-            x = z / beta[:, None]
+                    rows, d, u, v, dc, uc, vc = (x[keep] for x in (rows, d, u, v, dc, uc, vc))
+                    Q, alphas, betas, w, beta = (x[keep] for x in (Q, alphas, betas, w, beta))
+            if k == Q.shape[1] and rows.size:
+                Q = np.concatenate((Q, np.empty((rows.size, min(n, 2 * k) - k, n), dtype=complex)), axis=1)
+            q = w / beta[:, None]
     return out
 
 

@@ -26,6 +26,9 @@ from .sequences import SequenceSpec, scan_depth, verify_weight
 #: largest n for which every criterion value is kept as a sample
 DENSE_SAMPLE_LIMIT = 1000
 
+#: largest section that gets a dense SVD (pseudospectrum fallback nodes, ideal s-numbers)
+DENSE_CAP = 512
+
 
 @dataclass(frozen=True)
 class FiniteSection:

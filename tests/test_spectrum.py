@@ -250,6 +250,31 @@ class TestAdjointPointTest:
         assert out == ProbeResult(TriState.NO, "disk position boundary: outside the open-disk bound")
 
 
+class TestPointTestsReadOffClassifyPoint:
+    """point_spectrum_test and adjoint_point_test are classify_point's A1 and A2 results."""
+
+    @pytest.mark.parametrize(
+        "s,chi,code",
+        [(power_weight(-1.0), 1.0, "weight-not-bounded"), (UNIT, 0.0, "invalid-chi")],
+        ids=["unbounded-weight", "zero-chi"],
+    )
+    @pytest.mark.parametrize("lam", [CESARO.value(3), 0.4, 2.0])
+    def test_raise_where_classify_point_does(self, lam, s, chi, code):
+        for entry in (classify_point, point_spectrum_test, adjoint_point_test):
+            with pytest.raises(TerraspecError) as exc:
+                entry(lam, CESARO, s, chi)
+            assert exc.value.code == code
+
+    def test_diagonal_values_above_chi_verify_the_weight_once(self, call_log):
+        # a_k > chi is an eigenvalue outright on a bounded weight, which classify_points
+        # has checked before any point is tested
+        a = table([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])
+        calls = call_log(spectrum, "verify_weight")
+        points = classify_points([3.0, 2.5, 2.0, 1.5, 1.0], a, UNIT, 0.7)
+        assert [p.label for p in points] == [Label.POINT] * 5
+        assert [name for name, _ in calls] == ["verify_weight"] * 2
+
+
 class TestResolventSection:
     def test_2x2_against_inversion_oracle(self):
         B = resolvent_section(3.0, table([1.0, 0.5]), 2).entries
@@ -954,6 +979,17 @@ class TestStructuredPseudospectrum:
         general = FiniteSection(60, sec.entries, "general")
         pseudospectrum_grid(general, GridSpec((-0.2, 1.2), (-0.3, 0.3), (5, 4)), [0.1])
         assert len(calls) == 20
+
+    @pytest.mark.parametrize("e", [10, 100, 150, 200])
+    def test_near_singular_node_next_to_a_diagonal_value(self, e):
+        # sigma_min is about 1e-(e+4) here; without the scaling by max |d_n| the Lanczos
+        # values of B^H B pass the double range from e = 70 or so on
+        sec = build_section(CESARO, 50)
+        lam = CESARO.value(3) + 1j * 10.0**-e
+        got = spectrum._inverse_sigma_min(sec.entries[:, 0].real, np.array([lam]))[0]
+        _, forward, _ = _sigma_min_references(sec, lam)
+        assert np.isfinite(got)
+        assert got == pytest.approx(forward, rel=1e-10)
 
     def test_inverse_past_the_double_range_falls_back(self):
         # for |lambda| = 1e-5 log|prod (1 - a_k/lambda)| spans more than 2 * 709 over 200 terms,
