@@ -5,6 +5,8 @@ Every run starts from a cold values cache.  The pseudospectrum rows time a
 terraced Cesaro section (chi = 1) on the grid Re in [-0.25, 1.25],
 Im in [-0.45, 0.45]; the peak RSS of the 21x21 grid at N = 200 is read
 from a fresh child process that imports terraspec and makes that one call.
+The cold-import row times fresh children that import terraspec and its CLI
+and exit.
 
     PYTHONPATH=src python scripts/layer_timings.py [--repeats 5]
 """
@@ -35,6 +37,8 @@ def pseudospectrum(n: int, nodes: int):
 
 
 LAYERS = [
+    ("cold import terraspec, terraspec.cli (fresh child)",
+     lambda: subprocess.run([sys.executable, "-c", "import terraspec, terraspec.cli"], check=True)),
     ("classify_boundedness Cesaro, n_max = 1e6",
      lambda: terraced.classify_boundedness(CESARO, UNIT, UNIT, 10**6)),
     ("classify_boundedness 1/log(n+1) vs geometric(0.5), n_max = 1e6",

@@ -36,7 +36,7 @@ AXIOM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class SNumberSequence:
-    """Non-increasing, non-negative s-number data s_1 >= s_2 >= ... >= 0."""
+    """Non-increasing, non-negative, finite s-number data s_1 >= s_2 >= ... >= 0."""
 
     values: tuple[float, ...]
     source: str  # "svd_of_section" | "synthetic" | "user"
@@ -44,6 +44,8 @@ class SNumberSequence:
 
     def __post_init__(self):
         v = self.values
+        if not all(map(math.isfinite, v)):
+            raise TerraspecError("snumbers-not-finite", "values must be finite")
         if any(x < 0.0 for x in v) or any(v[i] < v[i + 1] for i in range(len(v) - 1)):
             raise TerraspecError("snumbers-not-monotone", "values must be non-increasing and >= 0")
 

@@ -47,9 +47,9 @@ def divisor(lam: complex) -> float | complex:
 
 
 def check_chi(chi: float) -> None:
-    """Raise ``invalid-chi`` unless chi = lim n * a_n is positive."""
-    if not chi > 0.0:
-        raise TerraspecError("invalid-chi", f"chi must be positive, got {chi}")
+    """Raise ``invalid-chi`` unless chi = lim n * a_n is positive and finite."""
+    if not 0.0 < chi < math.inf:
+        raise TerraspecError("invalid-chi", f"chi must be positive and finite, got {chi}")
 
 
 def compensated_cumsum(values) -> np.ndarray:

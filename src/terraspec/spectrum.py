@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .asymptotics import AsymptoticClass, Limit, Verdict, limit_class, mul, partial_sum, reciprocal
 from .errors import TerraspecError
@@ -214,12 +213,12 @@ def point_spectrum_test(
     """Is lambda an eigenvalue: lambda in S and a_n s_n n**(alpha*chi) -> 0.
 
     Read off the A1 result of classify_point (point_tests), so it raises
-    where classify_point does: an unbounded weight, an invalid chi, an
-    n_max below 2, alpha * chi past the double range, or a lambda within
-    SNAP_TOL of 0 inside the disk.  Real diagonal points above chi are
-    eigenvalues outright (the exponent alpha*chi drops below 1 there);
-    otherwise the limit is decided on the growth classes when available,
-    else by dyadic probes.
+    where classify_point does: an unbounded weight, an invalid chi,
+    alpha * chi past the double range, or a lambda within SNAP_TOL of 0
+    inside the disk.  Real diagonal points above chi are eigenvalues
+    outright (the exponent alpha*chi drops below 1 there); otherwise the
+    limit is decided on the growth classes when available, else by
+    dyadic probes.
     """
     return point_tests(classify_point(lam, a, s, chi, n_max=n_max))[0]
 
@@ -441,7 +440,8 @@ def classify_points(
     check_chi(chi)
     if not verify_weight(s, scan_depth(s, 1024)).bounded:
         raise TerraspecError("weight-not-bounded", "spectral classification needs a bounded weight")
-    s_decreasing = verify_weight(s, scan_depth(s, min(n_max, 4096))).decreasing
+    # the monotonicity scan compares neighbours, so it reads two terms even at n_max = 1
+    s_decreasing = verify_weight(s, scan_depth(s, min(max(n_max, 2), 4096))).decreasing
     located = _locate(lams, *_diagonal(a, n_max))
     return [_classify(lam, *loc, a, s, chi, s_decreasing, n_max) for lam, loc in zip(lams, located)]
 
@@ -545,7 +545,7 @@ def pseudospectrum_grid(sec: FiniteSection, grid: GridSpec, epsilons) -> Pseudos
     (sigma_min = 0.0), and every other node off 0 takes the structured route
     of _inverse_sigma_min.  Where that route does not apply (lambda = 0, an
     inverse outside the double range) and on every other kind of section,
-    a node gets a dense svdvals.
+    a node gets a dense SVD.
     """
     if sec.n > DENSE_CAP:
         raise TerraspecError("section-too-large", f"dense SVD capped at {DENSE_CAP}, got {sec.n}")
@@ -564,7 +564,7 @@ def pseudospectrum_grid(sec: FiniteSection, grid: GridSpec, epsilons) -> Pseudos
         sig[off] = _inverse_sigma_min(a, lams[off])
     eye = np.eye(sec.n)
     for k in np.flatnonzero(np.isnan(sig)):
-        sig[k] = scipy.linalg.svdvals(sec.entries - lams[k] * eye)[-1]
+        sig[k] = np.linalg.svd(sec.entries - lams[k] * eye, compute_uv=False)[-1]
     sig = sig.reshape(len(ims), len(res))
     eps = tuple(float(e) for e in epsilons)
     membership = {e: sig <= e for e in eps}

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import terraspec
 from terraspec.cli import main
 from terraspec.sequences import cesaro_scaled, constant, geometric, log_reciprocal, p_cesaro, power_weight, table
 from terraspec.sequences import to_json
@@ -211,6 +216,14 @@ class TestPointTest:
         assert run(["point-test", "--config", cfg, "--out", out]) == 0
         row = json.loads(out.read_text())["result"][0]
         assert (row["point"], row["adjoint_detail"]) == ("yes", "lambda = a_900, adjoint eigenvector truncates")
+
+    def test_n_max_one(self, tmp_path):
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "n_max": 1, "point_test": {"lambdas": [1.0, 0.4, 2.0]}})
+        out = tmp_path / "points.json"
+        assert run(["point-test", "--config", cfg, "--out", out]) == 0
+        results = json.loads(out.read_text())["result"]
+        assert [r["label"] for r in results] == ["residual", "residual", "resolvent"]
+        assert [r["adjoint"] for r in results] == ["yes", "yes", "no"]
 
     def test_tiny_lambda_past_the_alpha_range_is_an_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**CESARO_CFG, "point_test": {"lambdas": [1e-310]}})
@@ -578,3 +591,12 @@ class TestDeterminism:
         monkeypatch.setenv("TERRASPEC_SEED", "12345")
         assert run(["ideal-axioms", "--config", cfg, "--out", out]) == 0
         assert json.loads(out.read_text())["seed"] == 12345
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests' reference oracles alone
+    src = str(Path(terraspec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, terraspec, terraspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert child.stdout == "[]\n"

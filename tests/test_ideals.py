@@ -76,6 +76,20 @@ class TestSNumbers:
             SNumberSequence((1.0, 2.0), "user")
         assert exc.value.code == "snumbers-not-monotone"
 
+    @pytest.mark.parametrize(
+        "values", [(math.nan,), (math.inf,), (-math.inf,), (1.0, math.nan), (math.inf, 1.0)], ids=repr
+    )
+    def test_non_finite_values_rejected(self, values):
+        with pytest.raises(TerraspecError) as exc:
+            SNumberSequence(values, "user")
+        assert exc.value.code == "snumbers-not-finite"
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan])
+    def test_non_finite_scale_rejected(self, c):
+        with pytest.raises(TerraspecError) as exc:
+            SNumberSequence((1.0, 0.5, 0.0), "user").scale(c)
+        assert exc.value.code == "snumbers-not-finite"
+
 
 class TestStypeMembership:
     def test_finite_rank_reduces_to_weighted_diagonal(self):

@@ -167,6 +167,12 @@ class TestRatioBand:
         rep = ratio_band(cesaro_scaled(1.0), 2.0, 1.0, (2**7, 2**7 + 1))
         assert rep.verdict == "degenerate"
 
+    @pytest.mark.parametrize("chi", [math.inf, 0.0, math.nan])
+    def test_chi_must_be_positive_and_finite(self, chi):
+        with pytest.raises(TerraspecError) as exc:
+            ratio_band(cesaro_scaled(1.0), 2.0, chi, (2**7, 2**10))
+        assert exc.value.code == "invalid-chi"
+
 
 def _reference_segment_log(a, lam, m, n):
     """log |prod_{k=m+1}^n (1 - a_k/lambda)| as the per-segment log_product summed it."""

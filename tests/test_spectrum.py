@@ -50,6 +50,13 @@ class TestDiskPosition:
     def test_zero_on_circle(self):
         assert disk_position(0.0, 1.0) == "boundary"
 
+    @pytest.mark.parametrize("chi", [math.inf, 0.0, -1.0, math.nan])
+    def test_chi_must_be_positive_and_finite(self, chi):
+        for lam in (0.3, 0.0):
+            with pytest.raises(TerraspecError) as exc:
+                disk_position(lam, chi)
+            assert exc.value.code == "invalid-chi"
+
     def test_agrees_with_halfplane_test(self):
         rng = np.random.default_rng(5)
         for chi in (0.5, 1.0, 2.0):
@@ -255,15 +262,25 @@ class TestPointTestsReadOffClassifyPoint:
 
     @pytest.mark.parametrize(
         "s,chi,code",
-        [(power_weight(-1.0), 1.0, "weight-not-bounded"), (UNIT, 0.0, "invalid-chi")],
-        ids=["unbounded-weight", "zero-chi"],
+        [(power_weight(-1.0), 1.0, "weight-not-bounded"), (UNIT, 0.0, "invalid-chi"),
+         (UNIT, math.inf, "invalid-chi")],
+        ids=["unbounded-weight", "zero-chi", "infinite-chi"],
     )
-    @pytest.mark.parametrize("lam", [CESARO.value(3), 0.4, 2.0])
+    @pytest.mark.parametrize("lam", [CESARO.value(3), 0.4, 2.0, 0.5j])
     def test_raise_where_classify_point_does(self, lam, s, chi, code):
         for entry in (classify_point, point_spectrum_test, adjoint_point_test):
             with pytest.raises(TerraspecError) as exc:
                 entry(lam, CESARO, s, chi)
             assert exc.value.code == code
+
+    @pytest.mark.parametrize("lam", [CESARO.value(1), 0.4, 2.0, 0.3 + 0.2j])
+    def test_n_max_one_is_answered(self, lam):
+        # the weight's monotonicity scan reads two terms whatever n_max is
+        one = classify_point(lam, CESARO, UNIT, 1.0, n_max=1)
+        two = classify_point(lam, CESARO, UNIT, 1.0, n_max=2)
+        assert (one.label, spectrum.point_tests(one)) == (two.label, spectrum.point_tests(two))
+        assert point_spectrum_test(lam, CESARO, UNIT, 1.0, n_max=1) == spectrum.point_tests(one)[0]
+        assert adjoint_point_test(lam, CESARO, UNIT, 1.0, n_max=1) == spectrum.point_tests(one)[1]
 
     def test_diagonal_values_above_chi_verify_the_weight_once(self, call_log):
         # a_k > chi is an eigenvalue outright on a bounded weight, which classify_points
@@ -963,13 +980,13 @@ class TestStructuredPseudospectrum:
 
     def test_svdvals_only_at_fallback_nodes(self, monkeypatch):
         calls = []
-        svdvals = scipy.linalg.svdvals
+        svd = np.linalg.svd
 
-        def counted(mat):
+        def counted(mat, *args, **kwargs):
             calls.append(mat[0, 0])
-            return svdvals(mat)
+            return svd(mat, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "svdvals", counted)
+        monkeypatch.setattr(np.linalg, "svd", counted)
         sec = build_section(cesaro_scaled(1.0), 60)
         pseudospectrum_grid(sec, GridSpec((-0.2, 1.2), (-0.3, 0.3), (5, 4)), [0.1])
         assert calls == []
