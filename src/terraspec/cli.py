@@ -59,16 +59,18 @@ def _json_ready(obj):
     return obj
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_report(path: str, cfg: dict, digest: str, result) -> None:
+    """The JSON report: tool version, config digest and effective seed around one result."""
+    payload = {"version": __version__, "config_digest": digest, "seed": _effective_seed(cfg), "result": result}
     text = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def _write_csv(path: str, header: list[str], rows, meta: str) -> None:
-    lines = [meta, ",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+def _write_csv(path: str, cfg: dict, digest: str, header: list[str], rows) -> None:
+    """A CSV report: one '#' line with the same metadata as _write_report, the header, the rows."""
+    lines = [f"# terraspec {__version__} config_digest={digest} seed={_effective_seed(cfg)}", ",".join(header)]
+    lines += [",".join(row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -131,6 +133,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _pair(value, name: str, convert) -> tuple:
+    """A config list of exactly two entries, each through convert(entry, name); any other value is a config error."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name} must be a list of two entries, got {value!r}")
+    return tuple(convert(v, name) for v in value)
+
+
 def _sequence(cfg: dict, key: str, default=None) -> sequences.SequenceSpec:
     if key not in cfg:
         if default is not None:
@@ -177,39 +186,25 @@ def _n_max(cfg: dict, default: int = 10000) -> int:
     return n
 
 
-def _meta(digest: str, seed: int) -> dict:
-    return {"version": __version__, "config_digest": digest, "seed": seed}
-
-
 def cmd_classify(cfg: dict, digest: str, out: str) -> int:
     a = _sequence(cfg, "a")
     r = _sequence(cfg, "r", sequences.constant(1.0))
     s = _sequence(cfg, "s", sequences.constant(1.0))
     report = terraced.classify_boundedness(a, r, s, _n_max(cfg))
-    payload = _meta(digest, _effective_seed(cfg))
-    payload["result"] = {
-        "bounded": report.bounded,
-        "compact": report.compact,
-        "norm": report.norm,
-        "sup_estimate": report.sup_estimate,
-        "method": report.method,
-        "truncated": report.truncated,
-        "criterion_samples": [[n, c] for n, c in report.criterion_samples],
-    }
-    _write_json(out, payload)
+    _write_report(out, cfg, digest, vars(report))
     decisive = TriState.INCONCLUSIVE not in (report.bounded, report.compact)
     return EXIT_OK if decisive else EXIT_INCONCLUSIVE
 
 
 def _grid_from_cfg(block: dict) -> spectrum.GridSpec:
     try:
-        re_range = tuple(_finite_float(v, "spectrum_map.grid.re_range") for v in block["re_range"])
-        im_range = tuple(_finite_float(v, "spectrum_map.grid.im_range") for v in block["im_range"])
+        re_range = _pair(block["re_range"], "spectrum_map.grid.re_range", _finite_float)
+        im_range = _pair(block["im_range"], "spectrum_map.grid.im_range", _finite_float)
         res = block["resolution"]
-        res = res if isinstance(res, (list, tuple)) else (res, res)
-        res = (_integer(res[0], "grid resolution"), _integer(res[1], "grid resolution"))
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad grid block: {exc}") from exc
+    name = "spectrum_map.grid.resolution"
+    res = _pair(res, name, _integer) if isinstance(res, list) else (_integer(res, name),) * 2
     try:
         return spectrum.GridSpec(re_range, im_range, res)
     except TerraspecError as exc:
@@ -226,8 +221,7 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str) -> int:
     grid = _grid_from_cfg(block["grid"])
     points = spectrum.spectrum_grid(a, s, chi, grid, n_max=_n_max(cfg))
     if out.endswith(".json"):
-        payload = _meta(digest, _effective_seed(cfg))
-        payload["result"] = [
+        _write_report(out, cfg, digest, [
             {
                 "lambda": pt.lam,
                 "label": pt.label.value,
@@ -238,8 +232,7 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str) -> int:
                 "a2": pt.evidence.a2,
             }
             for pt in points
-        ]
-        _write_json(out, payload)
+        ])
         return EXIT_OK
     header = ["re", "im", "label", "alpha", "alpha_chi", "dist_to_S", "a1", "a2"]
     rows = []
@@ -257,8 +250,7 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str) -> int:
                 ev.a2.value,
             ]
         )
-    meta = f"# terraspec {__version__} config_digest={digest} seed={_effective_seed(cfg)}"
-    _write_csv(out, header, rows, meta)
+    _write_csv(out, cfg, digest, header, rows)
     return EXIT_OK
 
 
@@ -289,9 +281,7 @@ def cmd_point_test(cfg: dict, digest: str, out: str) -> int:
                 "label": pt.label.value,
             }
         )
-    payload = _meta(digest, _effective_seed(cfg))
-    payload["result"] = results
-    _write_json(out, payload)
+    _write_report(out, cfg, digest, results)
     return EXIT_INCONCLUSIVE if inconclusive else EXIT_OK
 
 
@@ -304,17 +294,7 @@ def cmd_resolvent_verify(cfg: dict, digest: str, out: str) -> int:
     n = _integer(block["n"], "resolvent_verify.n")
     tol = _finite_float(block.get("tol", 1e-10), "resolvent_verify.tol")
     check = spectrum.verify_resolvent(lam, a, n, tol)
-    payload = _meta(digest, _effective_seed(cfg))
-    payload["result"] = {
-        "lambda": lam,
-        "n": n,
-        "tol": tol,
-        "left_residual": check.left_residual,
-        "right_residual": check.right_residual,
-        "max_residual": check.max_residual,
-        "passed": check.passed,
-    }
-    _write_json(out, payload)
+    _write_report(out, cfg, digest, {"lambda": lam, "n": n, **vars(check)})
     return EXIT_OK if check.passed else EXIT_FAILED
 
 
@@ -325,29 +305,15 @@ def cmd_product_band(cfg: dict, digest: str, out: str, csv_out: str | None = Non
     if "lambda" not in block:
         raise ConfigError("product-band needs product_band.lambda")
     lam = _lambda(block["lambda"])
-    n_range = block.get("n_range", (128, 32768))
-    name = "product_band.n_range"
-    n_range = _number(lambda r: (_integer(r[0], name), _integer(r[1], name)), n_range, name)
+    n_range = _pair(block.get("n_range", [128, 32768]), "product_band.n_range", _integer)
     exponent = block.get("exponent")
     report = products.ratio_band(
         a, lam, chi, n_range,
         exponent=None if exponent is None else _finite_float(exponent, "product_band.exponent"),
     )
-    payload = _meta(digest, _effective_seed(cfg))
-    payload["result"] = {
-        "lambda": lam,
-        "chi": chi,
-        "exponent": report.exponent,
-        "verdict": report.verdict,
-        "log_log_slope": report.log_log_slope,
-        "band": list(report.band),
-        "ratios": [[n, v] for n, v in report.ratios],
-    }
-    _write_json(out, payload)
+    _write_report(out, cfg, digest, {"lambda": lam, "chi": chi, **vars(report)})
     if csv_out:
-        meta = f"# terraspec {__version__} config_digest={digest} seed={_effective_seed(cfg)}"
-        rows = [[str(n), _fmt(v)] for n, v in report.ratios]
-        _write_csv(csv_out, ["n", "ratio"], rows, meta)
+        _write_csv(csv_out, cfg, digest, ["n", "ratio"], [[str(n), _fmt(v)] for n, v in report.ratios])
     if report.verdict == "bounded_band":
         return EXIT_OK
     if report.verdict == "degenerate":
@@ -372,18 +338,7 @@ def cmd_ideal_qnorm(cfg: dict, digest: str, out: str) -> int:
     result = ideals.quasi_norm(snum, a, r)
     flags = ideals.ideal_preconditions(a, r)
     membership = ideals.stype_membership(snum, a, r)
-    payload = _meta(digest, _effective_seed(cfg))
-    payload["result"] = {
-        "value": result.value,
-        "argmax_index": result.argmax_index,
-        "truncation_N": result.truncation_N,
-        "tail_status": result.tail_status,
-        "stype_member": membership,
-        "ideal_ok": flags.ideal_ok,
-        "closed_ok": flags.closed_ok,
-        "qnorm_normalized": flags.qnorm_normalized,
-    }
-    _write_json(out, payload)
+    _write_report(out, cfg, digest, {**vars(result), "stype_member": membership, **vars(flags)})
     return EXIT_INCONCLUSIVE if membership is TriState.INCONCLUSIVE else EXIT_OK
 
 
@@ -393,17 +348,14 @@ def cmd_ideal_axioms(cfg: dict, digest: str, out: str) -> int:
     block = _block(cfg, "ideal_axioms")
     trials = _integer(block.get("trials", 200), "ideal_axioms.trials")
     dim = _integer(block.get("dim", 8), "ideal_axioms.dim")
-    seed = _effective_seed(cfg)
-    report = ideals.check_quasinorm_axioms(trials, dim, a, r, seed=seed)
-    payload = _meta(digest, seed)
-    payload["result"] = {
+    report = ideals.check_quasinorm_axioms(trials, dim, a, r, seed=_effective_seed(cfg))
+    _write_report(out, cfg, digest, {
         "trials": report.trials,
         "dim": report.dim,
         "normalized": report.normalized,
         "violations": report.violations,
         "total_violations": report.total_violations,
-    }
-    _write_json(out, payload)
+    })
     return EXIT_OK if report.total_violations == 0 else EXIT_FAILED
 
 

@@ -599,7 +599,7 @@ def _inverse_sigma_min(a: np.ndarray, lams: np.ndarray) -> np.ndarray:
     nodes = np.flatnonzero(ok)
     for lo in range(0, nodes.size, LANCZOS_BATCH):
         part = nodes[lo : lo + LANCZOS_BATCH]
-        out[part] = 1.0 / (c[part, 0] * _lanczos_sigma_max(d[part], u[part], v[part]))
+        out[part] = (1.0 / c[part, 0]) / _lanczos_sigma_max(d[part], u[part], v[part])  # c * sigma_max may overflow
     return out
 
 

@@ -306,19 +306,30 @@ class TestConfigCoercion:
         assert capsys.readouterr().err == f"terraspec: error: lambda must be a number or [re, im], got {bad!r}\n"
 
     def test_bad_numbers(self, tmp_path, capsys):
+        def grid(**fields):
+            return {"spectrum_map": {"grid": {"re_range": [0, 1], "im_range": [0, 1], "resolution": 3, **fields}}}
+
         cases = [
-            ("resolvent-verify", {"resolvent_verify": {"lambda": 2.0, "n": "x"}}),
-            ("resolvent-verify", {"resolvent_verify": {"lambda": ["x", 0.0], "n": 10}}),
-            ("product-band", {"product_band": {"lambda": 2.0, "n_range": ["a", 64]}}),
-            ("product-band", {"product_band": {"lambda": 2.0, "exponent": "e"}}),
-            ("spectrum-map", {"spectrum_map": {"grid": {"re_range": [0, 1], "im_range": [0, 1], "resolution": "ab"}}}),
-            ("ideal-qnorm", {"ideal_qnorm": {"snumbers": [1.0, "x"]}}),
-            ("ideal-axioms", {"ideal_axioms": {"trials": "many"}}),
+            ("resolvent-verify", {"resolvent_verify": {"lambda": 2.0, "n": "x"}}, "resolvent_verify.n"),
+            ("resolvent-verify", {"resolvent_verify": {"lambda": ["x", 0.0], "n": 10}}, "lambda"),
+            ("product-band", {"product_band": {"lambda": 2.0, "n_range": ["a", 64]}}, "product_band.n_range"),
+            ("product-band", {"product_band": {"lambda": 2.0, "exponent": "e"}}, "product_band.exponent"),
+            ("spectrum-map", grid(resolution="ab"), "spectrum_map.grid.resolution"),
+            ("ideal-qnorm", {"ideal_qnorm": {"snumbers": [1.0, "x"]}}, "ideal_qnorm.snumbers"),
+            ("ideal-axioms", {"ideal_axioms": {"trials": "many"}}, "ideal_axioms.trials"),
+            # a range list takes exactly two entries; longer ones used to be cut to their first two
+            ("spectrum-map", grid(re_range=[-0.2, 1.2, 5.0], resolution=[3, 2, 7]), "spectrum_map.grid.re_range"),
+            ("spectrum-map", grid(im_range=[0.5]), "spectrum_map.grid.im_range"),
+            ("spectrum-map", grid(resolution=[3, 2, 7]), "spectrum_map.grid.resolution"),
+            ("spectrum-map", grid(resolution=[]), "spectrum_map.grid.resolution"),
+            ("product-band", {"product_band": {"lambda": 2.0, "n_range": [128, 1024, 7]}}, "product_band.n_range"),
+            ("product-band", {"product_band": {"lambda": 2.0, "n_range": 128}}, "product_band.n_range"),
         ]
-        for command, block in cases:
+        for command, block, key in cases:
             cfg = write_cfg(tmp_path, {**CESARO_CFG, **block})
-            assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
-            assert "terraspec: error: " in capsys.readouterr().err
+            assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1, block
+            err = capsys.readouterr().err
+            assert err.startswith(f"terraspec: error: {key} ") or err.startswith(f"terraspec: error: bad {key}: "), err
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -561,6 +572,20 @@ class TestShortTables:
         assert capsys.readouterr().err.startswith("terraspec: error: index-out-of-range: table has 100 entries")
 
 
+#: the keys of each report's result (of each entry where it is a list, the CSV header for
+#: spectrum-map); a field added to a library record changes its report and fails here
+REPORT_KEYS = {
+    "classify": {"bounded", "compact", "norm", "sup_estimate", "method", "truncated", "criterion_samples"},
+    "spectrum-map": {"re", "im", "label", "alpha", "alpha_chi", "dist_to_S", "a1", "a2"},
+    "point-test": {"lambda", "point", "point_detail", "adjoint", "adjoint_detail", "label"},
+    "resolvent-verify": {"lambda", "n", "tol", "left_residual", "right_residual", "max_residual", "passed"},
+    "product-band": {"lambda", "chi", "exponent", "verdict", "log_log_slope", "band", "ratios"},
+    "ideal-qnorm": {"value", "argmax_index", "truncation_N", "tail_status", "stype_member",
+                    "ideal_ok", "closed_ok", "qnorm_normalized"},
+    "ideal-axioms": {"trials", "dim", "normalized", "violations", "total_violations"},
+}
+
+
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
         grid = {"re_range": [-0.2, 1.2], "im_range": [-0.3, 0.3], "resolution": [5, 3]}
@@ -584,6 +609,17 @@ class TestDeterminism:
                 outputs.append([p.read_bytes() for p in sorted(tmp_path.glob(f"{command}-{rerun}.*"))])
             assert outputs[0] == outputs[1], command
             assert len(outputs[0]) == (2 if command == "product-band" else 1)
+            report = outputs[0][-1].decode()
+            if suffix == ".csv":
+                assert set(report.split("\n")[1].split(",")) == REPORT_KEYS[command]
+                continue
+            payload = json.loads(report)
+            assert set(payload) == {"version", "config_digest", "seed", "result"}
+            result = payload["result"]
+            for entry in result if isinstance(result, list) else [result]:
+                assert set(entry) == REPORT_KEYS[command], command
+            if command == "product-band":
+                assert outputs[0][0].decode().split("\n")[1] == "n,ratio"
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, dict(CESARO_CFG, ideal_axioms={"trials": 5, "dim": 4}))
