@@ -6,25 +6,38 @@ terraced Cesaro section (chi = 1) on the grid Re in [-0.25, 1.25],
 Im in [-0.45, 0.45]; the peak RSS of the 21x21 grid at N = 200 is read
 from a fresh child process that imports terraspec and makes that one call.
 The cold-import row times fresh children that import terraspec and its CLI
-and exit.
+and exit.  The two spectrum-map rows run the README example's a, s, n_max and
+grid, chi given, through an in-process ``cli.main`` and write the 41x41 map
+as .json and as .csv into a temporary directory.
 
     PYTHONPATH=src python scripts/layer_timings.py [--repeats 5]
 """
 
 import argparse
+import json
 import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from terraspec import ideals, products, sequences, spectrum, terraced
+from terraspec import cli, ideals, products, sequences, spectrum, terraced
 
 CESARO = sequences.cesaro_scaled(1.0)
 UNIT = sequences.constant(1.0)
 PORTRAIT_GRID = spectrum.GridSpec((-0.25, 1.25), (-0.75, 0.75), (41, 41))
+README_MAP_CONFIG = {
+    "a": {"family": "cesaro_scaled", "params": {"chi": 1.0}},
+    "s": {"family": "constant", "params": {"value": 1.0}},
+    "chi": 1.0,
+    "seed": 42,
+    "n_max": 10000,
+    "spectrum_map": {"grid": {"re_range": [-0.25, 1.25], "im_range": [-0.75, 0.75], "resolution": 41}},
+}
 
 
 def pseudo_grid(nodes: int) -> spectrum.GridSpec:
@@ -61,6 +74,17 @@ LAYERS = [
 ]
 
 
+def spectrum_map_layers(tmp: str) -> list:
+    """The README 41x41 spectrum-map through cli.main, once written as .json and once as .csv."""
+    config = Path(tmp, "readme.json")
+    config.write_text(json.dumps(README_MAP_CONFIG))
+    return [
+        (f"cli spectrum-map 41x41 README grid, chi given, {suffix}",
+         lambda out=str(Path(tmp, "map" + suffix)): cli.main(["spectrum-map", "--config", str(config), "--out", out]))
+        for suffix in (".json", ".csv")
+    ]
+
+
 def median_ms(fn, repeats: int) -> float:
     times = []
     for _ in range(repeats):
@@ -93,9 +117,11 @@ def main() -> int:
     # starts from this process's peak, which is still its import footprint here
     child = subprocess.run([sys.executable, __file__, "--rss-child"], capture_output=True, text=True, check=True)
     before, after = child.stdout.split()
-    width = max(len(name) for name, _ in LAYERS)
-    for name, fn in LAYERS:
-        print(f"{name:<{width}}  {median_ms(fn, args.repeats):9.1f} ms", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        layers = LAYERS + spectrum_map_layers(tmp)
+        width = max(len(name) for name, _ in layers)
+        for name, fn in layers:
+            print(f"{name:<{width}}  {median_ms(fn, args.repeats):9.1f} ms", flush=True)
     print(f"{'peak RSS, pseudospectrum_grid 21x21 nodes, N = 200':<{width}}  {after:>9} MiB "
           f"({before} MiB after imports)")
     return 0

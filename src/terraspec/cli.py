@@ -20,8 +20,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, ideals, products, sequences, spectrum, terraced
 from .errors import TerraspecError
 from .numerics import TriState
@@ -36,33 +34,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-#: types json.dumps writes as they are; most nodes of a report are these leaves
-_JSON_LEAVES = frozenset({str, float, int, bool, type(None)})
-
-
-def _json_ready(obj):
-    """Recursively convert report objects to JSON-serializable values."""
-    if type(obj) in _JSON_LEAVES:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, TriState):
-        return obj.value
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_report(path: str, cfg: dict, digest: str, result) -> None:
-    """The JSON report: tool version, config digest and effective seed around one result."""
+    """The JSON report: tool version, config digest and effective seed around one result.
+
+    result holds JSON values only: a TriState is a str, a lambda is written as [re, im].
+    """
     payload = {"version": __version__, "config_digest": digest, "seed": _effective_seed(cfg), "result": result}
-    text = json.dumps(_json_ready(payload), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -102,10 +80,7 @@ def _effective_seed(cfg: dict) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"TERRASPEC_SEED must be an integer, got {env!r}") from exc
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
-    return seed
+    return _integer(cfg.get("seed", 0), "seed")
 
 
 def _number(convert, value, name: str):
@@ -117,7 +92,9 @@ def _number(convert, value, name: str):
 
 
 def _finite_float(value, name: str) -> float:
-    """value as a float; NaN, an infinity or a non-number is a config error."""
+    """A JSON number as a float; a bool, a string, NaN or an infinity is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
     x = _number(float, value, name)
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -219,38 +196,19 @@ def cmd_spectrum_map(cfg: dict, digest: str, out: str) -> int:
     if "grid" not in block:
         raise ConfigError("spectrum-map needs spectrum_map.grid")
     grid = _grid_from_cfg(block["grid"])
-    points = spectrum.spectrum_grid(a, s, chi, grid, n_max=_n_max(cfg))
+    # one row per grid point in CSV column order; the JSON entry keeps re and im as one "lambda" pair
+    columns = ["re", "im", "label", "alpha", "alpha_chi", "dist_to_S", "a1", "a2"]
+    rows = [
+        [pt.lam.real, pt.lam.imag, pt.label.value, ev.alpha, ev.alpha_chi, ev.dist_to_S, ev.a1, ev.a2]
+        for pt in spectrum.spectrum_grid(a, s, chi, grid, n_max=_n_max(cfg))
+        for ev in (pt.evidence,)
+    ]
     if out.endswith(".json"):
-        _write_report(out, cfg, digest, [
-            {
-                "lambda": pt.lam,
-                "label": pt.label.value,
-                "alpha": pt.evidence.alpha,
-                "alpha_chi": pt.evidence.alpha_chi,
-                "dist_to_S": pt.evidence.dist_to_S,
-                "a1": pt.evidence.a1,
-                "a2": pt.evidence.a2,
-            }
-            for pt in points
+        _write_report(out, cfg, digest, [{"lambda": row[:2], **dict(zip(columns[2:], row[2:]))} for row in rows])
+    else:
+        _write_csv(out, cfg, digest, columns, [  # format(v, ".17g") is _fmt(v) without a call per cell
+            ["nan" if v is None else v if isinstance(v, str) else format(v, ".17g") for v in row] for row in rows
         ])
-        return EXIT_OK
-    header = ["re", "im", "label", "alpha", "alpha_chi", "dist_to_S", "a1", "a2"]
-    rows = []
-    for pt in points:
-        ev = pt.evidence
-        rows.append(
-            [
-                _fmt(pt.lam.real),
-                _fmt(pt.lam.imag),
-                pt.label.value,
-                _fmt(ev.alpha) if ev.alpha is not None else "nan",
-                _fmt(ev.alpha_chi) if ev.alpha_chi is not None else "nan",
-                _fmt(ev.dist_to_S),
-                ev.a1.value,
-                ev.a2.value,
-            ]
-        )
-    _write_csv(out, cfg, digest, header, rows)
     return EXIT_OK
 
 
@@ -273,7 +231,7 @@ def cmd_point_test(cfg: dict, digest: str, out: str) -> int:
         inconclusive |= TriState.INCONCLUSIVE in (point.outcome, adjoint.outcome)
         results.append(
             {
-                "lambda": pt.lam,
+                "lambda": [pt.lam.real, pt.lam.imag],
                 "point": point.outcome,
                 "point_detail": point.detail,
                 "adjoint": adjoint.outcome,
@@ -294,7 +252,7 @@ def cmd_resolvent_verify(cfg: dict, digest: str, out: str) -> int:
     n = _integer(block["n"], "resolvent_verify.n")
     tol = _finite_float(block.get("tol", 1e-10), "resolvent_verify.tol")
     check = spectrum.verify_resolvent(lam, a, n, tol)
-    _write_report(out, cfg, digest, {"lambda": lam, "n": n, **vars(check)})
+    _write_report(out, cfg, digest, {"lambda": [lam.real, lam.imag], "n": n, **vars(check)})
     return EXIT_OK if check.passed else EXIT_FAILED
 
 
@@ -311,7 +269,7 @@ def cmd_product_band(cfg: dict, digest: str, out: str, csv_out: str | None = Non
         a, lam, chi, n_range,
         exponent=None if exponent is None else _finite_float(exponent, "product_band.exponent"),
     )
-    _write_report(out, cfg, digest, {"lambda": lam, "chi": chi, **vars(report)})
+    _write_report(out, cfg, digest, {"lambda": [lam.real, lam.imag], "chi": chi, **vars(report)})
     if csv_out:
         _write_csv(csv_out, cfg, digest, ["n", "ratio"], [[str(n), _fmt(v)] for n, v in report.ratios])
     if report.verdict == "bounded_band":
@@ -330,7 +288,9 @@ def cmd_ideal_qnorm(cfg: dict, digest: str, out: str) -> int:
         values = _number(lambda vs: tuple(_finite_float(v, name) for v in vs), block["snumbers"], name)
         snum = ideals.SNumberSequence(values, "user")
     elif "section_n" in block:
-        sec = terraced.build_section(a, _integer(block["section_n"], "ideal_qnorm.section_n"))
+        n = _integer(block["section_n"], "ideal_qnorm.section_n")
+        terraced.check_dense_cap(n)  # before the dense n x n build, not after it
+        sec = terraced.build_section(a, n)
         s_w = _sequence(cfg, "s", sequences.constant(1.0))
         snum = ideals.snumbers_from_section(sec, r, s_w)
     else:

@@ -28,7 +28,7 @@ from .asymptotics import INDEX, AsymptoticClass, Limit, limit_class, mul, partia
 from .errors import TerraspecError
 from .numerics import TriState, classify_limit_trend, compensated_cumsum, dyadic_probes, vanishes
 from .sequences import SequenceSpec, scan_depth
-from .terraced import DENSE_CAP, FiniteSection, conjugate_section
+from .terraced import FiniteSection, check_dense_cap, conjugate_section
 
 #: absolute slack for the finite-trial inequality checks
 AXIOM_TOL = 1e-9
@@ -57,8 +57,7 @@ class SNumberSequence:
 
 def snumbers_from_section(sec: FiniteSection, r: SequenceSpec, s: SequenceSpec) -> SNumberSequence:
     """Singular values of the weight-conjugated section, largest first."""
-    if sec.n > DENSE_CAP:
-        raise TerraspecError("section-too-large", f"dense SVD capped at {DENSE_CAP}, got {sec.n}")
+    check_dense_cap(sec.n)
     conj = conjugate_section(sec, r, s)
     sv = np.linalg.svd(conj.entries, compute_uv=False)
     return SNumberSequence(tuple(float(x) for x in sv), "svd_of_section")

@@ -17,7 +17,7 @@ from .asymptotics import Limit
 from .errors import TerraspecError
 
 
-class TriState(Enum):
+class TriState(str, Enum):
     YES = "yes"
     NO = "no"
     INCONCLUSIVE = "inconclusive"

@@ -35,7 +35,7 @@ from .numerics import TriState, check_chi, classify_limit_trend, divisor, dyadic
 from .numerics import log_cumprod, vanishes
 from .products import alpha
 from .sequences import SequenceSpec, scan_depth, verify_weight
-from .terraced import DENSE_CAP, FiniteSection, _freeze
+from .terraced import FiniteSection, _freeze, check_dense_cap
 
 
 #: snap tolerance for membership of a floating lambda in the exact set S
@@ -547,8 +547,7 @@ def pseudospectrum_grid(sec: FiniteSection, grid: GridSpec, epsilons) -> Pseudos
     inverse outside the double range) and on every other kind of section,
     a node gets a dense SVD.
     """
-    if sec.n > DENSE_CAP:
-        raise TerraspecError("section-too-large", f"dense SVD capped at {DENSE_CAP}, got {sec.n}")
+    check_dense_cap(sec.n)
     res = grid.re_values()
     ims = grid.im_values()
     lams = np.empty((len(ims), len(res)), dtype=complex)

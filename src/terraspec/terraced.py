@@ -30,6 +30,12 @@ DENSE_SAMPLE_LIMIT = 1000
 DENSE_CAP = 512
 
 
+def check_dense_cap(n: int) -> None:
+    """Raise ``section-too-large`` when an n x n section is past DENSE_CAP."""
+    if n > DENSE_CAP:
+        raise TerraspecError("section-too-large", f"dense SVD capped at {DENSE_CAP}, got {n}")
+
+
 @dataclass(frozen=True)
 class FiniteSection:
     """N x N lower-triangular complex matrix.

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import terraspec
+from terraspec import ideals, products, spectrum, terraced
 from terraspec.cli import main
+from terraspec.numerics import TriState
 from terraspec.sequences import cesaro_scaled, constant, geometric, log_reciprocal, p_cesaro, power_weight, table
 from terraspec.sequences import to_json
 from terraspec.spectrum import adjoint_point_test, point_spectrum_test
@@ -284,7 +286,7 @@ class TestConfigCoercion:
             assert "terraspec: error: lambda-not-finite" in capsys.readouterr().err
 
     def test_bad_chi(self, tmp_path, capsys):
-        for chi in ("x", float("nan"), float("inf")):
+        for chi in ("x", float("nan"), float("inf"), True, "0.5"):
             cfg = write_cfg(tmp_path, {**CESARO_CFG, "chi": chi, "point_test": {"lambdas": [0.5]}})
             assert run(["point-test", "--config", cfg, "--out", tmp_path / "x.json"]) == 1
             err = capsys.readouterr().err
@@ -332,7 +334,12 @@ class TestConfigCoercion:
             assert err.startswith(f"terraspec: error: {key} ") or err.startswith(f"terraspec: error: bad {key}: "), err
 
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "bad,err",
+        [(math.nan, "must be finite"), (math.inf, "must be finite"), (-math.inf, "must be finite"),
+         (False, "must be a number, got False"), ("1e-3", "must be a number, got '1e-3'")],
+        ids=["nan", "inf", "-inf", "bool", "string"],
+    )
     @pytest.mark.parametrize(
         "command,block",
         [
@@ -342,10 +349,10 @@ class TestConfigCoercion:
         ],
         ids=["tol", "exponent", "snumbers"],
     )
-    def test_non_finite_floats(self, tmp_path, capsys, command, block, bad):
+    def test_non_finite_floats(self, tmp_path, capsys, command, block, bad, err):
         cfg = write_cfg(tmp_path, {**CESARO_CFG, **block(bad)})
         assert run([command, "--config", cfg, "--out", tmp_path / "x.json"]) == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert err in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["re_range", "im_range"])
     def test_non_finite_grid_range(self, tmp_path, capsys, field):
@@ -359,6 +366,7 @@ class TestConfigCoercion:
         "command,block",
         [
             ("classify", lambda v: {"n_max": v}),
+            ("classify", lambda v: {"seed": v}),
             ("resolvent-verify", lambda v: {"resolvent_verify": {"lambda": 2.0, "n": v}}),
             ("ideal-qnorm", lambda v: {"ideal_qnorm": {"section_n": v}}),
             ("ideal-axioms", lambda v: {"ideal_axioms": {"trials": v}}),
@@ -367,7 +375,7 @@ class TestConfigCoercion:
             ("spectrum-map", lambda v: {"spectrum_map": {"grid": {"re_range": [0, 1], "im_range": [0, 1],
                                                                   "resolution": v}}}),
         ],
-        ids=["n_max", "n", "section_n", "trials", "dim", "n_range", "resolution"],
+        ids=["n_max", "seed", "n", "section_n", "trials", "dim", "n_range", "resolution"],
     )
     def test_integer_fields(self, tmp_path, capsys, command, block, bad):
         cfg = write_cfg(tmp_path, {**CESARO_CFG, **block(bad)})
@@ -393,10 +401,12 @@ class TestConfigCoercion:
         assert capsys.readouterr().err == f"terraspec: error: {block} must be a JSON object, got {bad!r}\n"
 
     def test_integral_float_is_an_integer(self, tmp_path):
-        cfg = write_cfg(tmp_path, {**CESARO_CFG, "n_max": 2000.0})
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "n_max": 2000.0, "seed": 3.0})
         out = tmp_path / "report.json"
         assert run(["classify", "--config", cfg, "--out", out]) == 0
-        assert json.loads(out.read_text())["result"]["criterion_samples"][-1][0] == 2000
+        payload = json.loads(out.read_text())
+        assert payload["result"]["criterion_samples"][-1][0] == 2000
+        assert payload["seed"] == 3 and isinstance(payload["seed"], int)
 
 
 class TestResolventVerify:
@@ -492,6 +502,17 @@ class TestIdealCommands:
         assert run(["ideal-qnorm", "--config", cfg, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("terraspec: error: snumbers-overflow: ")
         assert not out.exists()
+
+    def test_section_past_the_dense_cap_is_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build = terraced.build_section
+        monkeypatch.setattr(terraced, "build_section", lambda a, n: built.append(n) or build(a, n))
+        n = terraced.DENSE_CAP + 1
+        cfg = write_cfg(tmp_path, {**CESARO_CFG, "ideal_qnorm": {"section_n": n}})
+        assert run(["ideal-qnorm", "--config", cfg, "--out", tmp_path / "qnorm.json"]) == 1
+        err = f"terraspec: error: section-too-large: dense SVD capped at {terraced.DENSE_CAP}, got {n}\n"
+        assert capsys.readouterr().err == err
+        assert built == []
 
     def test_axioms_clean(self, tmp_path):
         cfg = write_cfg(
@@ -627,6 +648,23 @@ class TestDeterminism:
         monkeypatch.setenv("TERRASPEC_SEED", "12345")
         assert run(["ideal-axioms", "--config", cfg, "--out", out]) == 0
         assert json.loads(out.read_text())["seed"] == 12345
+
+
+def test_report_records_are_json_native():
+    # reports hand these records to json.dumps as they are; a numpy or enum field would fail here, not in the CLI
+    a, unit = cesaro_scaled(1.0), constant(1.0)
+    snum = ideals.snumbers_from_section(terraced.build_section(a, 24), unit, unit)
+    records = [
+        terraced.classify_boundedness(a, unit, unit, 2000),
+        spectrum.verify_resolvent(-0.6 + 0.8j, a, 60),
+        products.ratio_band(a, 2.0 + 0.5j, 1.0, (64, 1024)),
+        ideals.quasi_norm(snum, a, unit),
+        ideals.ideal_preconditions(a, unit),
+    ]
+    for record in records:
+        json.dumps(vars(record))
+    assert json.dumps(ideals.stype_membership(snum, a, unit)) in ('"yes"', '"no"', '"inconclusive"')
+    assert json.dumps(TriState.YES) == '"yes"'
 
 
 def test_import_loads_no_scipy():
